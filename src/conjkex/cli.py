@@ -142,7 +142,11 @@ def _cmd_verify(args) -> int:
 def _cmd_attack(args) -> int:
     try:
         with open(args.transcript, encoding="utf-8") as fh:
-            transcript = kex.Transcript.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise TranscriptError(f"transcript is not UTF-8: {exc}") from None
+        transcript = kex.Transcript.from_text(text)
         if transcript.platform() != "metacyclic":
             raise TranscriptError("attack supports metacyclic transcripts only")
         w = transcript.base_element()

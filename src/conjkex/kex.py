@@ -143,9 +143,14 @@ class Transcript:
             if not line.strip():
                 continue
             try:
-                messages.append(json.loads(line))
+                message = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TranscriptError(f"bad transcript line: {exc}") from None
+            if not isinstance(message, dict) or not all(
+                isinstance(value, str) for value in message.values()
+            ):
+                raise TranscriptError("transcript line is not an object of strings")
+            messages.append(message)
         return cls(messages)
 
     def _only(self, kind: str) -> dict:

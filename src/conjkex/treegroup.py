@@ -12,6 +12,21 @@ h(g(x)).  A vertex bit swaps the two subtrees below it, so a bit on
 level l contributes 2^(k-l-1) transpositions to the leaf permutation;
 the permutation is even iff the number of active bottom-level bits is
 even.
+
+Products and inverses work a whole level at a time on the packed int,
+where level l is a 2^l-bit field, root side most significant.  Level l
+of g*h is g_l XOR (h_l permuted by g's action on level l), and that
+action is a sequence of swaps: for each depth d < l, shallowest first,
+swap the two halves of every run of 2^(l-d) level-l vertices whose
+depth-d ancestor carries a g-label.  Halves of 2^j bits are swapped on
+every level at once by one masked delta swap (Warren, Hacker's Delight,
+ch. 7); its mask is g's levels 0..k-j-2 with each label widened to a
+2^(j+1)-bit block, lower half set.  The k-1 masks come from one another
+by bit doubling (Morton spreads), so a product or an inverse costs
+O(k^2) big-int operations on 2^k-bit ints instead of 2^k - 1 Python
+steps.  g^-1 has level l = g_l permuted by the inverse of g's action:
+the same swaps, deepest first.  `Portrait.apply` walks one leaf path bit
+by bit and stays the independent oracle for both.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from .errors import (
 
 _CANONICAL_RE = re.compile(r"^tg:k=(0|[1-9]\d*);bits=(0|[1-9a-f][0-9a-f]*)$")
 
-MAX_DEPTH = 20        # pure portrait arithmetic
+MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_ENUM_DEPTH = 4    # exhaustive enumeration / closure work
 
 
@@ -52,6 +67,12 @@ class TreeSylowGroup:
         self.k = k
         self.leaves = 1 << k
         self.bit_count = (1 << k) - 1
+        # _spread[e] has the bits p < 2^k with bit e of p clear: what a
+        # Morton step that shifts by 2^e keeps.
+        self._spread = tuple(
+            int(("0" * (1 << e) + "1" * (1 << e)) * (1 << (k - 1 - e)), 2)
+            for e in range(k - 1)
+        )
 
     # ----------------------------------------------------------- elements
 
@@ -62,26 +83,53 @@ class TreeSylowGroup:
         return Portrait(self, packed)
 
     def from_level_masks(self, masks: dict[int, int]) -> "Portrait":
+        """Bit p of masks[level] labels vertex p of that level."""
         packed = 0
         for level, mask in masks.items():
-            if not 0 <= level < self.k:
-                raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
+            self._check_level(level)
             width = 1 << level
             if mask >> width:
                 raise ValueError(f"mask {mask:#x} too wide for level {level}")
-            for pos in range(width):
-                if (mask >> pos) & 1:
-                    packed |= 1 << self._shift(level, pos)
+            packed |= _reverse(mask, width) << self._offset(level)
         return Portrait(self, packed)
 
     def single(self, level: int, pos: int) -> "Portrait":
         return self.from_level_masks({level: 1 << pos})
 
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level < self.k:
+            raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
+
+    def _offset(self, level: int) -> int:
+        # Lowest bit of the level's field; the root is the most
+        # significant bit, the bottom level the 2^(k-1) lowest.
+        return self.leaves - (2 << level)
+
     def _shift(self, level: int, pos: int) -> int:
-        # level-order index of the vertex, counted from the root...
-        idx = (1 << level) - 1 + pos
-        # ...stored big-endian: the root is the most significant bit.
-        return self.bit_count - 1 - idx
+        # Vertex pos sits at the field's high end when pos is 0.
+        return self._offset(level) + (1 << level) - 1 - pos
+
+    def _swap_masks(self, packed: int) -> list[int]:
+        """Delta-swap masks of the portrait `packed`, indexed by j.
+
+        masks[j] selects the lower half of every 2^(j+1)-bit block on
+        levels j+1..k-1 whose controlling label (the block's ancestor
+        j+1 levels up) is set.  It comes from the labels widened to
+        2^j-bit blocks: drop the bottom level, then a Morton spread
+        moves each 2^j-bit run i to run 2i.  Filling the other halves
+        gives the 2^(j+1)-bit blocks for the next j.
+        """
+        k = self.k
+        spread = self._spread
+        masks = []
+        widened = packed  # blocks of 2^j bits, one per label, for j = 0
+        for j in range(k - 1):
+            low = widened >> (self.leaves >> 1)
+            for e in range(k - 2, j - 1, -1):
+                low = (low | (low << (1 << e))) & spread[e]
+            masks.append(low)
+            widened = low | (low << (1 << j))
+        return masks
 
     # -------------------------------------------------------- enumeration
 
@@ -104,8 +152,7 @@ class TreeSylowGroup:
     def level_subgroup(self, level: int, even_only: bool = False) -> list["Portrait"]:
         """All portraits supported on one level: an elementary abelian
         commuting family of size 2^(2^level)."""
-        if not 0 <= level < self.k:
-            raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
+        self._check_level(level)
         width = 1 << level
         if width > 1 << MAX_ENUM_DEPTH:
             raise DepthTooLargeError("level too wide to enumerate")
@@ -118,8 +165,7 @@ class TreeSylowGroup:
         return out
 
     def level_subgroup_order(self, level: int) -> int:
-        if not 0 <= level < self.k:
-            raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
+        self._check_level(level)
         return 1 << (1 << level)
 
     def level_subgroup_element(self, level: int, index: int) -> "Portrait":
@@ -308,14 +354,17 @@ class Portrait:
     def bit(self, level: int, pos: int) -> int:
         return (self.packed >> self.group._shift(level, pos)) & 1
 
+    def _field(self, level: int) -> int:
+        G = self.group
+        G._check_level(level)
+        return (self.packed >> G._offset(level)) & ((1 << (1 << level)) - 1)
+
     def level_mask(self, level: int) -> int:
-        mask = 0
-        for pos in range(1 << level):
-            mask |= self.bit(level, pos) << pos
-        return mask
+        """Bit p is the label of vertex p on the level."""
+        return _reverse(self._field(level), 1 << level)
 
     def active_bits(self, level: int) -> int:
-        return self.level_mask(level).bit_count()
+        return self._field(level).bit_count()
 
     def _check(self, other: "Portrait") -> None:
         if not isinstance(other, Portrait):
@@ -328,41 +377,21 @@ class Portrait:
     def __mul__(self, other: "Portrait") -> "Portrait":
         """Composite "self then other": leaf x maps to other(self(x)).
 
-        Root labels XOR; below a vertex the right factor's subtree is
-        reindexed by the left factor's label there.
+        Every level: self's labels XOR other's labels permuted by self's
+        action on that level (the module docstring has the swaps).
         """
         self._check(other)
         G = self.group
-        k = G.k
-        out = 0
-        # stack of (level, pos in self/out, pos in other)
-        stack = [(0, 0, 0)]
-        while stack:
-            level, pos, opos = stack.pop()
-            gb = self.bit(level, pos)
-            if gb ^ other.bit(level, opos):
-                out |= 1 << G._shift(level, pos)
-            if level + 1 < k:
-                stack.append((level + 1, 2 * pos, 2 * opos + gb))
-                stack.append((level + 1, 2 * pos + 1, 2 * opos + (1 ^ gb)))
-        return Portrait(G, out)
+        masks = G._swap_masks(self.packed)
+        # Shallowest ancestors first: the widest halves.
+        permuted = _swap_halves(other.packed, masks, range(G.k - 2, -1, -1))
+        return Portrait(G, self.packed ^ permuted)
 
     def inverse(self) -> "Portrait":
+        # Each level of self, permuted by the inverse of self's action.
         G = self.group
-        k = G.k
-        out = 0
-        # (g^-1) keeps each label but fetches it from the g-subtree the
-        # inverse path came from.
-        stack = [(0, 0, 0)]  # (level, out pos, g pos)
-        while stack:
-            level, pos, gpos = stack.pop()
-            gb = self.bit(level, gpos)
-            if gb:
-                out |= 1 << G._shift(level, pos)
-            if level + 1 < k:
-                stack.append((level + 1, 2 * pos, 2 * gpos + gb))
-                stack.append((level + 1, 2 * pos + 1, 2 * gpos + (1 ^ gb)))
-        return Portrait(G, out)
+        masks = G._swap_masks(self.packed)
+        return Portrait(G, _swap_halves(self.packed, masks, range(G.k - 1)))
 
     def apply(self, leaf: int) -> int:
         """Image of a leaf in [0, 2^k); the path bits are flipped by the
@@ -382,8 +411,10 @@ class Portrait:
 
     def is_even(self) -> bool:
         # Only bottom-level swaps are single transpositions; every higher
-        # level contributes an even number of them.
-        return self.active_bits(self.group.k - 1) % 2 == 0
+        # level contributes an even number of them.  The bottom level is
+        # the low 2^(k-1) bits.
+        bottom = self.packed & ((1 << (self.group.leaves >> 1)) - 1)
+        return bottom.bit_count() % 2 == 0
 
     def is_identity(self) -> bool:
         return self.packed == 0
@@ -411,6 +442,21 @@ class Portrait:
 
     def __repr__(self) -> str:
         return f"Portrait(k={self.group.k}, bits={self.packed:#x})"
+
+
+def _reverse(bits: int, width: int) -> int:
+    """The low `width` bits of `bits` in reverse order."""
+    return int(f"{bits:0{width}b}"[::-1], 2)
+
+
+def _swap_halves(x: int, masks: list[int], order: Iterable[int]) -> int:
+    """Delta swaps: for each j in order, exchange every bit of x that
+    masks[j] selects with the bit 2^j above it."""
+    for j in order:
+        shift = 1 << j
+        t = ((x >> shift) ^ x) & masks[j]
+        x ^= t ^ (t << shift)
+    return x
 
 
 def commutator(x: Portrait, y: Portrait) -> Portrait:

@@ -204,6 +204,28 @@ def test_attack_rejects_garbage_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["[1]", '"text"', "5", "null", '{"type":"params","platform":"metacyclic","w":5}'],
+)
+def test_attack_rejects_non_object_lines(capsys, tmp_path, line):
+    path = tmp_path / "odd.ndjson"
+    path.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_attack_rejects_non_utf8_file(capsys, tmp_path):
+    path, _ = _write_demo_transcript(capsys, tmp_path)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert code == 2
+    assert out == ""
+    assert "UTF-8" in err
+
+
 # ------------------------------------------------------------------ element
 
 def test_element_conj(capsys):

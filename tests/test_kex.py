@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,16 @@ def test_wire_format_is_pinned():
     assert len(lines) == 4  # no debug line without the flag
     for line in lines:
         json.loads(line)
+
+
+@pytest.mark.parametrize("k", [10, 12, 14])
+def test_deep_tree_transcripts_pinned(k):
+    # Written by the per-vertex portrait walk that the level-wise kernels
+    # replaced; transcripts and keys must stay byte-identical.
+    golden = Path(__file__).parent / "data" / f"tree_demo_k{k}.ndjson"
+    result = run_demo(tree_group(k).default_base(), 7, 11, debug_key=True)
+    assert result.agreed
+    assert result.transcript.to_text() == golden.read_text(encoding="ascii")
 
 
 def test_debug_key_flag_controls_embedding():

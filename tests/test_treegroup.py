@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -10,7 +11,7 @@ from conjkex.errors import (
     NotAGroupError,
     ParseError,
 )
-from conjkex.treegroup import Portrait, commutator, parse_canonical, tree_group
+from conjkex.treegroup import MAX_DEPTH, Portrait, commutator, parse_canonical, tree_group
 
 
 def compose_perms(p, q):
@@ -236,6 +237,107 @@ def test_deep_tree_arithmetic():
     h = G.from_packed(rng.randrange(1 << G.bit_count))
     assert (g * h) * (g * h).inverse() == G.identity()
     assert parse_canonical(g.canonical()) == g
+
+
+def inverse_perm(perm):
+    out = [0] * len(perm)
+    for x, y in enumerate(perm):
+        out[y] = x
+    return tuple(out)
+
+
+def random_portrait(G, rng):
+    return G.from_packed(rng.randrange(1 << G.bit_count))
+
+
+# Beyond the exhaustive k=2,3 checks: the level-wise kernels against the
+# per-leaf oracle `apply`, on dense random portraits.
+@pytest.mark.parametrize("k,pairs", [(1, 4), (5, 40), (6, 20), (8, 8), (10, 3), (12, 2)])
+def test_product_and_inverse_match_permutation_oracle(k, pairs):
+    G = tree_group(k)
+    rng = random.Random(100 + k)
+    for _ in range(pairs):
+        g, h = random_portrait(G, rng), random_portrait(G, rng)
+        pg, ph = g.to_permutation(), h.to_permutation()
+        assert (g * h).to_permutation() == compose_perms(pg, ph)
+        assert g.inverse().to_permutation() == inverse_perm(pg)
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_sparse_products_match_permutation_oracle(k):
+    # one label per level at either end, where a mask edge would show
+    G = tree_group(k)
+    factors = [
+        G.from_level_masks({level: mask})
+        for level in range(k)
+        for mask in (1, 1 << ((1 << level) - 1))
+    ]
+    for g, h in product(factors, repeat=2):
+        assert (g * h).to_permutation() == compose_perms(
+            g.to_permutation(), h.to_permutation()
+        )
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_level_masks_roundtrip_every_level(k):
+    G = tree_group(k)
+    rng = random.Random(200 + k)
+    for _ in range(5):
+        g = random_portrait(G, rng)
+        masks = {level: g.level_mask(level) for level in range(k)}
+        for level, mask in masks.items():
+            # bit p of a level mask is the label of vertex p
+            assert mask == sum(g.bit(level, p) << p for p in range(1 << level))
+            assert g.active_bits(level) == bin(mask).count("1")
+            single = G.from_level_masks({level: mask})
+            assert single.level_mask(level) == mask
+            assert all(single.level_mask(o) == 0 for o in range(k) if o != level)
+        assert G.from_level_masks(masks) == g
+
+
+def test_level_field_errors():
+    G = tree_group(3)
+    with pytest.raises(LevelOutOfRangeError):
+        G.identity().level_mask(3)
+    with pytest.raises(LevelOutOfRangeError):
+        G.from_level_masks({-1: 0})
+    with pytest.raises(ValueError):
+        G.from_level_masks({1: 0b100})
+
+
+# sha256 of the canonical forms of g*h, g^-1 and h^g for portraits drawn
+# with random.Random(k): pinned from the per-vertex walk that the
+# level-wise kernels replaced.
+DENSE_PINS = {
+    10: "f7583ba5802fdd78c329450a64bf8e257dfffcb15795d47a778df906f646c874",
+    12: "7cf13038a45ec00890534d76f138c13977c75b52e6b8c1ec14223caeb42f0351",
+    14: "ce03d4b4b846aae8b6a05cc9668a0c53a2582fbb085e2616d38ba00eb8f0c666",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DENSE_PINS))
+def test_dense_products_pinned(k):
+    G = tree_group(k)
+    rng = random.Random(k)
+    g = G.from_packed(rng.getrandbits(G.bit_count))
+    h = G.from_packed(rng.getrandbits(G.bit_count))
+    text = "\n".join(e.canonical() for e in (g * h, g.inverse(), h.conjugate_by(g)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_PINS[k]
+
+
+def test_max_depth_arithmetic():
+    # the advertised limit is reachable; no timing is asserted
+    G = tree_group(MAX_DEPTH)
+    rng = random.Random(43)
+    g, h = random_portrait(G, rng), random_portrait(G, rng)
+    gh = g * h
+    assert gh.packed >> G.bit_count == 0
+    assert gh * gh.inverse() == G.identity()
+    assert gh.inverse() * gh == G.identity()
+    assert parse_canonical(gh.canonical()) == gh
+    # one leaf path through the per-vertex oracle
+    leaf = rng.randrange(G.leaves)
+    assert gh.apply(leaf) == h.apply(g.apply(leaf))
 
 
 def test_canonical_roundtrip():
