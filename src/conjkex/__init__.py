@@ -3,8 +3,9 @@
 Three exact-arithmetic platform groups (a metacyclic and a non-metacyclic
 minimal non-abelian p-group, and Sylow 2-subgroups of S_(2^k) as tree
 portraits), a generic conjugacy key-exchange protocol over them, attack
-code that breaks the metacyclic instance in O(sqrt(p)) operations, and a
-suite verifying the structural claims the construction rests on.
+code that breaks the metacyclic instance in a constant number of modular
+operations, and a suite verifying the structural claims the construction
+rests on.
 """
 
 from .arith import OpCounter, Residue, bsgs_dlog, is_probable_prime, mod_inv, mod_pow, mult_order

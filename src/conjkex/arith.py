@@ -225,25 +225,28 @@ def bsgs_dlog(
     m = math.isqrt(order)
     if m * m < order:
         m += 1
+    # The loops run on plain ints; one multiplication is ticked per step.
+    modulus, b, t = base.modulus, base.value, target.value
     # Baby steps: base**j for j < m.  Ties cannot occur while j is below
     # the order of base, but setdefault keeps the least j regardless.
     table: dict[int, int] = {}
-    cur = Residue(1, base.modulus)
+    cur = 1
     for j in range(m):
-        table.setdefault(cur.value, j)
-        cur = cur * base
-        ops.tick()
+        table.setdefault(cur, j)
+        cur = cur * b % modulus
+    ops.tick(m)
     # cur is now base**m; invert it once for the giant stride.
-    stride = cur.inverse()
-    gamma = target
+    stride = Residue(cur, modulus).inverse().value
+    gamma = t
     for i in range(m + 1):
-        j = table.get(gamma.value)
+        j = table.get(gamma)
         if j is not None:
             s = i * m + j
-            if s < order or pow(base.value, s, base.modulus) == target.value:
+            if s < order or pow(b, s, modulus) == t:
+                ops.tick(i)
                 return s
-        gamma = gamma * stride
-        ops.tick()
+        gamma = gamma * stride % modulus
+    ops.tick(m + 1)
     raise NoSolutionError(
         f"{target.value} is not in the subgroup generated by {base.value}"
     )

@@ -163,11 +163,20 @@ class Transcript:
         return self._only("params").get("platform", "")
 
     def base_element(self):
+        """The base w, checked against the platform and parameters that
+        the params message states beside it."""
         params = self._only("params")
         try:
-            return parse_element(params["w"])
+            w = parse_element(params["w"])
         except KeyError:
             raise TranscriptError("params message lacks the base element") from None
+        for key, value in {"platform": w.group.kind, **w.group.wire_params()}.items():
+            if params.get(key) != value:
+                raise TranscriptError(
+                    f"params field {key!r} is {params.get(key)!r}, "
+                    f"but the base element says {value!r}"
+                )
+        return w
 
     def public_from(self, role: str):
         for m in self.messages:

@@ -2,13 +2,14 @@
 
 The platform is the semidirect product of two cyclic p-groups,
 
-    G = < a, b | a^(p^m) = e, b^(p^n) = e, b^-1 a b = a^twist >,
+    G = < a, b | a^(p^m) = e, b^(p^n) = e, b a b^-1 = a^twist >,
 
 with twist = 1 + p^(m-1), p an odd prime, m >= 2, n >= 1.  Every element
 has the unique normal form a^i b^j with 0 <= i < p^m, 0 <= j < p^n, so
-equality is componentwise.  Conjugation by b raises a-exponents to the
-twist power, which is what makes the platform efficient: it is a single
-modular exponentiation.
+equality is componentwise.  `MetaElement.conjugate_by(x)` computes
+x w x^-1, so conjugating a^i by b multiplies the exponent i by the
+twist, which is what makes the platform efficient: a single modular
+exponentiation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from .arith import is_probable_prime
-from .errors import CapExceededError, ParamMismatchError, ParseError, TooLargeError
+from .errors import (
+    CapExceededError,
+    NoSolutionError,
+    ParamMismatchError,
+    ParseError,
+    TooLargeError,
+)
 
 _CANONICAL_RE = re.compile(
     r"^mc:p=(0|[1-9]\d*);m=(0|[1-9]\d*);n=(0|[1-9]\d*);"
@@ -74,6 +81,22 @@ class MetacyclicGroup:
                 self._twist_inv_pows = self._cycle(pow(self.twist, -1, self.pm))
             return self._twist_inv_pows[j]
         return pow(self.twist, -j % self.p, self.pm)
+
+    def twist_log(self, u: int) -> int:
+        """Least s in [0, p) with twist^s = u (mod p^m), in O(1) operations.
+
+        Since m >= 2, (p^(m-1))^2 = p^(2m-2) is 0 mod p^m, so the binomial
+        expansion of twist^s = (1 + p^(m-1))^s stops after its linear term:
+        twist^s = 1 + s*p^(m-1) (mod p^m).  Hence s = (u - 1) / p^(m-1),
+        and u is a twist power exactly when p^(m-1) divides u - 1.
+        Raises NoSolutionError otherwise (non-units included).
+        """
+        s, rest = divmod(u % self.pm - 1, self.twist - 1)
+        if rest:
+            raise NoSolutionError(
+                f"{u} is not in the subgroup generated by {self.twist} mod {self.pm}"
+            )
+        return s
 
     def _cycle(self, t: int) -> list[int]:
         out = [1]
@@ -232,9 +255,10 @@ class MetaElement:
     def conjugate_by(self, x: "MetaElement") -> "MetaElement":
         """Conjugate of this element under x, computed as x * self * x^-1.
 
-        With the a^i b^j normal form used here, conjugating an element of
-        <a> by b^v raises its exponent to the twist^v power, one modular
-        exponentiation.
+        This is the convention b a b^-1 = a^twist of the presentation:
+        conjugating a^i by b^v gives a^(i * twist^v), one modular
+        exponentiation.  The tree and heisenberg platforms compute
+        x^-1 * self * x instead.
         """
         self._check(x)
         return x * self * x.inverse()

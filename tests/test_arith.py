@@ -134,6 +134,21 @@ def test_bsgs_multiplication_budget():
     assert ops.count <= 2 * math.isqrt(order - 1) + 3
 
 
+def test_bsgs_op_count_exact():
+    # base 4 mod 9 has order 3, so m = 2 baby steps; the giant stride is
+    # ticked once per step taken before the match, m + 1 times without one.
+    ops = OpCounter()
+    assert bsgs_dlog(Residue(4, 9), Residue(7, 9), 3, ops=ops) == 2
+    assert ops.count == 3
+    ops = OpCounter()
+    assert bsgs_dlog(Residue(4, 9), Residue(4, 9), 3, ops=ops) == 1
+    assert ops.count == 2
+    ops = OpCounter()
+    with pytest.raises(NoSolutionError):
+        bsgs_dlog(Residue(4, 9), Residue(5, 9), 3, ops=ops)
+    assert ops.count == 5
+
+
 def test_residue_invariants():
     r = Residue(-1, 9)
     assert 0 <= r.value < 9

@@ -217,6 +217,35 @@ def test_attack_rejects_non_object_lines(capsys, tmp_path, line):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [('"p":"1009"', '"p":"7"'), ('"m":"2"', '"m":"3"'),
+     ('"platform":"metacyclic"', '"platform":"heisenberg"')],
+)
+def test_attack_rejects_params_that_contradict_the_base(capsys, tmp_path, old, new):
+    path, _ = _write_demo_transcript(capsys, tmp_path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_attack_repeated_in_process_gives_the_same_report(capsys, tmp_path):
+    path, _ = _write_demo_transcript(capsys, tmp_path)
+    reports = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "attack", "--transcript", str(path))
+        assert code == 0
+        report = json.loads(out)
+        del report["wall_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["group_ops"] == "2"
+
+
 def test_attack_rejects_non_utf8_file(capsys, tmp_path):
     path, _ = _write_demo_transcript(capsys, tmp_path)
     path.write_bytes(path.read_bytes() + b"\xff\xfe\n")

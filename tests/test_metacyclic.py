@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from conjkex.errors import CapExceededError, ParamMismatchError, ParseError
+from conjkex.arith import Residue, bsgs_dlog
+from conjkex.errors import CapExceededError, NoSolutionError, ParamMismatchError, ParseError
 from conjkex.metacyclic import MetacyclicGroup, metacyclic_group, parse_canonical
 
 
@@ -101,6 +102,42 @@ def test_class_examples():
     assert G.conjugacy_class(G.identity()) == frozenset({G.identity()})
     G5 = metacyclic_group(5, 2, 1)
     assert len(G5.conjugacy_class(G5.a(1))) == 5
+
+
+# -------------------------------------------------------------- twist log
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (7, 4), (101, 2), (1009, 3)])
+def test_twist_log_inverts_twist_pow(p, m):
+    G = metacyclic_group(p, m, 1)
+    for s in range(p):
+        assert G.twist_log(G.twist_pow(s)) == s
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_twist_log_matches_bsgs(m):
+    rng = random.Random(53 + m)
+    for p in (3, 101, 10007, 999983):
+        G = metacyclic_group(p, m, 1)
+        twist = Residue(G.twist, G.pm)
+        members = [pow(G.twist, rng.randrange(p), G.pm) for _ in range(20)]
+        for u in members + [rng.randrange(G.pm) for _ in range(5)]:
+            try:
+                expected = bsgs_dlog(twist, Residue(u, G.pm), p)
+            except NoSolutionError:
+                with pytest.raises(NoSolutionError):
+                    G.twist_log(u)
+            else:
+                assert G.twist_log(u) == expected
+
+
+def test_twist_log_rejects_targets_outside_the_twist_group():
+    G = metacyclic_group(7, 3, 1)  # the twist powers are the u = 1 mod 49
+    for u in (2, 48, 51, G.pm - 1):
+        with pytest.raises(NoSolutionError):
+            G.twist_log(u)
+    for u in (0, 7, 49, 7 * 50):  # non-units
+        with pytest.raises(NoSolutionError):
+            G.twist_log(u)
 
 
 # -------------------------------------------------------------- invariants
