@@ -7,6 +7,8 @@ by rejection sampling, which keeps the draw unbiased for arbitrary-precision
 bounds.
 """
 
+import struct
+
 _MASK64 = (1 << 64) - 1
 
 # Identifier written into transcript headers.
@@ -29,9 +31,19 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randbits(self, bits: int) -> int:
-        out = 0
-        for _ in range((bits + 63) // 64):
-            out = (out << 64) | self.next64()
+        """The next ceil(bits/64) words, first word most significant,
+        cut to the low `bits` bits."""
+        if bits <= 256:
+            # Protocol-sized draws: shifting in place beats packing.
+            out = 0
+            for _ in range((bits + 63) // 64):
+                out = (out << 64) | self.next64()
+        else:
+            # Shifting in place copies the value once per word, which is
+            # quadratic; pack the words and convert once instead.
+            words = (bits + 63) // 64
+            drawn = [self.next64() for _ in range(words)]
+            out = int.from_bytes(struct.pack(f">{words}Q", *drawn), "big")
         return out & ((1 << bits) - 1)
 
     def randrange(self, bound: int) -> int:

@@ -24,7 +24,11 @@ ch. 7); its mask is g's levels 0..k-j-2 with each label widened to a
 2^(j+1)-bit block, lower half set.  The k-1 masks come from one another
 by bit doubling (Morton spreads), so a product or an inverse costs
 O(k^2) big-int operations on 2^k-bit ints instead of 2^k - 1 Python
-steps.  g^-1 has level l = g_l permuted by the inverse of g's action:
+steps.  That is the cost for a dense left factor g.  Only g's labelled
+levels are spread and a swap whose mask is empty is skipped, so a g
+labelled on one or two levels (a level-(k-2) key, the bottom-swap base,
+a single-vertex generator) costs O(k) operations or fewer.
+g^-1 has level l = g_l permuted by the inverse of g's action:
 the same swaps, deepest first.  `Portrait.apply` walks one leaf path bit
 by bit and stays the independent oracle for both.
 """
@@ -32,7 +36,7 @@ by bit and stays the independent oracle for both.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator
 
@@ -115,18 +119,46 @@ class TreeSylowGroup:
         masks[j] selects the lower half of every 2^(j+1)-bit block on
         levels j+1..k-1 whose controlling label (the block's ancestor
         j+1 levels up) is set.  It comes from the labels widened to
-        2^j-bit blocks: drop the bottom level, then a Morton spread
+        2^j-bit blocks: drop the bottom level, then a Morton spread M
         moves each 2^j-bit run i to run 2i.  Filling the other halves
         gives the 2^(j+1)-bit blocks for the next j.
+
+        Only the labelled span is spread, by two identities.  First,
+        M(x << z) = M(x) << 2z when 2^j divides z; the labels fill whole
+        aligned runs, so the trailing zeros of the int are whole runs,
+        and they are stripped before the spread and restored doubled.
+        Second, the step that shifts by 2^e is a no-op on ints below
+        2^(2^e), so the loop starts at the highest step the int can
+        reach.  Once the labels have shifted out, every later mask is 0.
+
+        Cost: a dense portrait takes O(k^2) full-width operations.  One
+        labelled only on the bottom level takes none; one labelled only
+        on level l takes k-1-l stages, each spreading only the labelled
+        span, so O(k) in all; level k-2 (a key) takes the j = 0 spread
+        alone.
         """
         k = self.k
         spread = self._spread
+        half = self.leaves >> 1
+        # The level-(k-2) field of `low`: empty only when the labels
+        # still to spread sit high, the case the strip is for.
+        last_field = (1 << (half >> 1)) - 1
         masks = []
         widened = packed  # blocks of 2^j bits, one per label, for j = 0
         for j in range(k - 1):
-            low = widened >> (self.leaves >> 1)
-            for e in range(k - 2, j - 1, -1):
+            low = widened >> half
+            if not low:
+                masks.extend([0] * (k - 1 - j))
+                break
+            if low & last_field:
+                z = 0
+            else:
+                z = (low & -low).bit_length() - 1
+                low >>= z
+            for e in range((low.bit_length() - 1).bit_length() - 1, j - 1, -1):
                 low = (low | (low << (1 << e))) & spread[e]
+            if z:
+                low <<= 2 * z
             masks.append(low)
             widened = low | (low << (1 << j))
         return masks
@@ -176,7 +208,7 @@ class TreeSylowGroup:
         the S-Sylow; for the A-Sylow the bottom level is replaced by
         even bottom-pair swaps."""
         if variant == "S":
-            return [self.single(level, 0) for level in range(self.k)]
+            return list(self._s_generators)
         if variant != "A":
             raise ValueError("variant must be 'S' or 'A'")
         if self.k == 1:
@@ -186,6 +218,10 @@ class TreeSylowGroup:
         for pos in range(1, 1 << bottom):
             gens.append(self.from_level_masks({bottom: 1 | (1 << pos)}))
         return gens
+
+    @cached_property
+    def _s_generators(self) -> tuple["Portrait", ...]:
+        return tuple(self.single(level, 0) for level in range(self.k))
 
     # ----------------------------------------------------- subgroup tools
 
@@ -219,12 +255,17 @@ class TreeSylowGroup:
             self._own(g)
         seeds = {commutator(x, y) for x, y in combinations(gens, 2)}
         seeds.discard(self.identity())
+        return self._normal_closure(seeds, gens)
+
+    def _normal_closure(self, seeds: set, gens: list["Portrait"]) -> frozenset:
+        """Closure of `seeds`, extended until stable under conjugation by
+        every generator."""
+        seeds = set(seeds)
+        pairs = [(g.inverse(), g) for g in gens]
         subgroup = self.closure(seeds)
         while True:
             extra = {
-                g.inverse() * x * g
-                for x in subgroup
-                for g in gens
+                g_inv * x * g for x in subgroup for g_inv, g in pairs
             } - subgroup
             if not extra:
                 return subgroup
@@ -242,17 +283,9 @@ class TreeSylowGroup:
             return 0
         frattini_seeds = {g * g for g in gens}
         frattini_seeds |= {commutator(x, y) for x, y in combinations(gens, 2)}
-        frattini = self.closure(frattini_seeds)
         # Frattini subgroup of a 2-group: normal closure of squares and
         # commutators inside the group itself.
-        while True:
-            extra = {
-                g.inverse() * x * g for x in frattini for g in gens
-            } - frattini
-            if not extra:
-                break
-            frattini_seeds |= extra
-            frattini = self.closure(frattini_seeds)
+        frattini = self._normal_closure(frattini_seeds, gens)
         quotient = len(group) // len(frattini)
         return quotient.bit_length() - 1
 
@@ -299,13 +332,13 @@ class TreeSylowGroup:
         """Class under the full S-Sylow, by closure under generator
         conjugation."""
         self._own(w)
-        gens = self.generators("S")
+        pairs = [(x.inverse(), x) for x in self._s_generators]
         seen = {w}
         frontier = [w]
         while frontier:
             g = frontier.pop()
-            for x in gens:
-                conj = x.inverse() * g * x
+            for x_inv, x in pairs:
+                conj = x_inv * g * x
                 if conj not in seen:
                     seen.add(conj)
                     frontier.append(conj)
@@ -314,7 +347,7 @@ class TreeSylowGroup:
     def is_central(self, w: "Portrait") -> bool:
         """Center test against the generating set."""
         self._own(w)
-        return all(w * g == g * w for g in self.generators("S"))
+        return all(w * g == g * w for g in self._s_generators)
 
     def wire_params(self) -> dict[str, str]:
         return {"k": str(self.k)}
@@ -451,11 +484,14 @@ def _reverse(bits: int, width: int) -> int:
 
 def _swap_halves(x: int, masks: list[int], order: Iterable[int]) -> int:
     """Delta swaps: for each j in order, exchange every bit of x that
-    masks[j] selects with the bit 2^j above it."""
+    masks[j] selects with the bit 2^j above it; a stage whose mask is 0
+    does nothing and is skipped."""
     for j in order:
-        shift = 1 << j
-        t = ((x >> shift) ^ x) & masks[j]
-        x ^= t ^ (t << shift)
+        mask = masks[j]
+        if mask:
+            shift = 1 << j
+            t = ((x >> shift) ^ x) & mask
+            x ^= t ^ (t << shift)
     return x
 
 

@@ -60,6 +60,18 @@ def test_demo_tree(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_demo_tree_at_max_depth():
+    # MAX_DEPTH is reachable end to end, as a process; no timing is asserted
+    proc = subprocess.run(
+        [sys.executable, "-m", "conjkex.cli", "demo", "--platform", "tree",
+         "-k", "20", "--seed-a", "1", "--seed-b", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["match"] is True
+
+
 def test_demo_heisenberg_custom_base(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -206,6 +206,48 @@ def test_min_gen_methods_agree_on_derived_subgroups():
         assert fast == brute
 
 
+# Generating sets whose commutators close to a subgroup that is not yet
+# normal, so the derived subgroup needs the normal-closure step.
+NOT_NORMAL_YET = [
+    ["tg:k=3;bits=10", "tg:k=3;bits=41"],
+    ["tg:k=3;bits=7", "tg:k=3;bits=63", "tg:k=3;bits=6e"],
+    ["tg:k=3;bits=72", "tg:k=3;bits=44"],
+]
+
+
+@pytest.mark.parametrize("texts", NOT_NORMAL_YET)
+def test_derived_subgroup_needs_the_normal_closure(texts):
+    G = tree_group(3)
+    gens = [parse_canonical(t) for t in texts]
+    seeds = {commutator(x, y) for x, y in combinations(gens, 2)}
+    derived = G.derived_subgroup(gens)
+    assert len(derived) > len(G.closure(seeds))
+    assert derived == brute_all_pairs_derived(G, G.closure(gens))
+    assert G.minimal_generating_size(derived) == G.minimal_generating_size_brute(derived)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_conjugacy_class_and_center_match_brute_force(k):
+    G = tree_group(k)
+    elements = list(G.all_elements())
+    for w in elements:
+        brute = frozenset(x.inverse() * w * x for x in elements)
+        assert G.conjugacy_class(w) == brute
+        assert G.is_central(w) == (len(brute) == 1)
+    center = {w for w in elements if G.is_central(w)}
+    all_bottom = G.from_level_masks({k - 1: (1 << (1 << (k - 1))) - 1})
+    assert center == {G.identity(), all_bottom}
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_default_base_class_is_every_bottom_swap(k):
+    G = tree_group(k)
+    bottom = k - 1
+    assert G.conjugacy_class(G.default_base()) == frozenset(
+        G.single(bottom, pos) for pos in range(1 << bottom)
+    )
+
+
 def test_min_gen_rejects_non_groups():
     G = tree_group(2)
     with pytest.raises(NotAGroupError):
@@ -263,19 +305,78 @@ def test_product_and_inverse_match_permutation_oracle(k, pairs):
         assert g.inverse().to_permutation() == inverse_perm(pg)
 
 
-@pytest.mark.parametrize("k", [5, 8])
-def test_sparse_products_match_permutation_oracle(k):
-    # one label per level at either end, where a mask edge would show
-    G = tree_group(k)
-    factors = [
-        G.from_level_masks({level: mask})
-        for level in range(k)
-        for mask in (1, 1 << ((1 << level) - 1))
-    ]
-    for g, h in product(factors, repeat=2):
-        assert (g * h).to_permutation() == compose_perms(
-            g.to_permutation(), h.to_permutation()
+def portrait_of(G, perm):
+    """Oracle: the portrait acting as `perm`.  The leaf whose path is pos
+    then zeros crosses vertex (level, pos) on its 0 side, so the image's
+    path bit at that level is the vertex label."""
+    k = G.k
+    return G.from_level_masks({
+        level: sum(
+            ((perm[pos << (k - level)] >> (k - 1 - level)) & 1) << pos
+            for pos in range(1 << level)
         )
+        for level in range(k)
+    })
+
+
+@pytest.mark.parametrize("k", [5, 8, 12])
+def test_sparse_products_match_permutation_oracle(k):
+    # Left factors labelled on one or two levels, at the field edges,
+    # where a mask edge or a stripped span would show.
+    G = tree_group(k)
+    bottom = k - 1
+    last = 1 << ((1 << bottom) - 1)
+    masks = [{level: mask} for level in range(k) for mask in (1, 1 << ((1 << level) - 1))]
+    masks += [{0: 1, bottom: 1}, {0: 1, bottom: last}]
+    masks += [{level: 1 << ((1 << level) - 1), bottom: 1} for level in range(1, bottom)]
+    factors = [G.from_level_masks(m) for m in masks]
+    perms = {g: g.to_permutation() for g in factors}
+    for g, pg in perms.items():
+        assert portrait_of(G, pg) == g
+        assert g.inverse() == portrait_of(G, inverse_perm(pg))
+    for g, h in product(factors, repeat=2):
+        assert g * h == portrait_of(G, compose_perms(perms[g], perms[h]))
+
+
+def reference_swap_masks(G, packed):
+    """The full Morton loop: every step at every stage, no shortcuts."""
+    k = G.k
+    masks = []
+    widened = packed
+    for j in range(k - 1):
+        low = widened >> (G.leaves >> 1)
+        for e in range(k - 2, j - 1, -1):
+            low = (low | (low << (1 << e))) & G._spread[e]
+        masks.append(low)
+        widened = low | (low << (1 << j))
+    return masks
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_swap_masks_match_full_morton_loop(k):
+    G = tree_group(k)
+    rng = random.Random(300 + k)
+
+    def random_level(level):
+        return {level: rng.getrandbits(1 << level)}
+
+    cases = [G.identity(), G.from_packed((1 << G.bit_count) - 1)]
+    cases += [G.single(level, pos) for level in range(k) for pos in (0, (1 << level) - 1)]
+    cases += [G.from_level_masks(random_level(level)) for level in range(k)]
+    for one, other in product(range(k), repeat=2):
+        labels = random_level(other)
+        labels[one] = labels.get(one, 0) | 1 << rng.randrange(1 << one)
+        cases.append(G.from_level_masks(labels))
+    for count in (1, 2, 3):
+        for _ in range(5):
+            packed = 0
+            for _ in range(count):
+                packed |= 1 << rng.randrange(G.bit_count)
+            cases.append(G.from_packed(packed))
+    for g in cases:
+        masks = G._swap_masks(g.packed)
+        assert len(masks) == k - 1
+        assert masks == reference_swap_masks(G, g.packed), g
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])

@@ -72,7 +72,9 @@ def test_sylow_k4_orders_without_long():
 
 
 def test_growth_claims_pass():
-    for k in (2, 3):
+    # k=4 is the --long growth suite: its level-3 products take the
+    # sparse-mask shortcuts.
+    for k in (2, 3, 4):
         for result in commuting_growth_claims(k):
             assert result.passed, result.to_json()
 
