@@ -1,9 +1,11 @@
 import hashlib
+import json
 import random
 from itertools import combinations, product
 
 import pytest
 
+from conjkex.cli import main
 from conjkex.errors import (
     DepthMismatchError,
     DepthTooLargeError,
@@ -38,6 +40,43 @@ def perm_parity_even(perm):
 def brute_all_pairs_derived(group, elements):
     seeds = {commutator(x, y) for x in elements for y in elements}
     return group.closure(seeds)
+
+
+def scratch_closure(group, gens):
+    """Oracle: plain worklist closure, rebuilt from the identity."""
+    gens = list(gens)
+    els = {group.identity()} | set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in els:
+                    els.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(els)
+
+
+def every_element_normal_closure(group, seeds, gens):
+    """Oracle: normal closure that conjugates every subgroup element each
+    round and rebuilds the closure from scratch."""
+    seeds = set(seeds)
+    pairs = [(g.inverse(), g) for g in gens]
+    subgroup = scratch_closure(group, seeds)
+    while True:
+        extra = {g_inv * x * g for x in subgroup for g_inv, g in pairs} - subgroup
+        if not extra:
+            return subgroup
+        seeds |= extra
+        subgroup = scratch_closure(group, seeds)
+
+
+def every_element_derived(group, gens):
+    seeds = {commutator(x, y) for x, y in combinations(gens, 2)}
+    seeds.discard(group.identity())
+    return every_element_normal_closure(group, seeds, gens)
 
 
 # ---------------------------------------------------------------- examples
@@ -206,12 +245,31 @@ def test_min_gen_methods_agree_on_derived_subgroups():
         assert fast == brute
 
 
+def test_greedy_generators_are_irredundant():
+    # Each greedy pick lies outside the span of the picks before it, so the
+    # incremental span is the true closure at every step.
+    G3 = tree_group(3)
+    rng = random.Random(7)
+    elements = list(G3.all_elements())
+    groups = [G3.closure(rng.sample(elements, 3)) for _ in range(20)]
+    G4 = tree_group(4)
+    groups.append(G4.derived_subgroup(G4.generators("A")))
+    for group in groups:
+        G = next(iter(group)).group
+        gens = G._greedy_generators(set(group))
+        for i, g in enumerate(gens):
+            assert g not in scratch_closure(G, gens[:i])
+        assert scratch_closure(G, gens) == group
+
+
 # Generating sets whose commutators close to a subgroup that is not yet
-# normal, so the derived subgroup needs the normal-closure step.
+# normal, so the derived subgroup needs the normal-closure step.  The last
+# one also needs conjugates of more than one commutator.
 NOT_NORMAL_YET = [
     ["tg:k=3;bits=10", "tg:k=3;bits=41"],
     ["tg:k=3;bits=7", "tg:k=3;bits=63", "tg:k=3;bits=6e"],
     ["tg:k=3;bits=72", "tg:k=3;bits=44"],
+    ["tg:k=3;bits=1c", "tg:k=3;bits=51", "tg:k=3;bits=3"],
 ]
 
 
@@ -223,7 +281,48 @@ def test_derived_subgroup_needs_the_normal_closure(texts):
     derived = G.derived_subgroup(gens)
     assert len(derived) > len(G.closure(seeds))
     assert derived == brute_all_pairs_derived(G, G.closure(gens))
+    assert derived == every_element_derived(G, gens)
     assert G.minimal_generating_size(derived) == G.minimal_generating_size_brute(derived)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_incremental_closure_matches_scratch_closure(k):
+    G = tree_group(k)
+    rng = random.Random(100 + k)
+    for _ in range(8):
+        # Each label is set with probability 1/8: thin portraits keep most
+        # subgroups proper (one of the k=4 sets still generates all of S).
+        draws = [
+            G.from_packed(
+                rng.getrandbits(G.bit_count)
+                & rng.getrandbits(G.bit_count)
+                & rng.getrandbits(G.bit_count)
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        els = {G.identity()}
+        used = []
+        while len(used) < len(draws):
+            # Extend by one or several generators at a time.
+            step = draws[len(used):len(used) + rng.randint(1, 2)]
+            G._extend(els, used, step)
+            used += step
+            assert frozenset(els) == scratch_closure(G, used)
+        assert G.closure(draws) == frozenset(els)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_derived_subgroup_matches_every_element_normal_closure(k):
+    G = tree_group(k)
+    gens = G.generators("A")
+    assert G.derived_subgroup(gens) == every_element_derived(G, gens)
+
+
+def test_tree_command_long_reaches_k4_closures(capsys):
+    assert main(["tree", "-k", "4", "--long"]) == 0
+    facts = json.loads(capsys.readouterr().out)
+    assert facts["derived_order"] == "1024"
+    assert facts["derived_min_generators"] == "5"
 
 
 @pytest.mark.parametrize("k", [2, 3])

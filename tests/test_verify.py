@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from conjkex import verify
+from conjkex.metacyclic import metacyclic_group
+from conjkex.treegroup import TreeSylowGroup
 from conjkex.verify import (
     ClaimResult,
     center_claims,
@@ -35,6 +38,53 @@ def test_default_grid_is_pinned():
 def test_class_size_claims_pass():
     for result in class_size_claims(grid=SMALL_GRID):
         assert result.passed, result.to_json()
+
+
+def per_element_class_sizes(p, m, n):
+    """The class-size measurement with one closure per element."""
+    group = metacyclic_group(p, m, n)
+    gens = group.generator_elements()
+    sizes = {True: set(), False: set()}
+    for g in group.elements():
+        cls = verify.measured_class(group, g, gens)
+        central = all(g * x == x * g for x in gens)
+        sizes[central].add(len(cls))
+    return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
+
+
+@pytest.mark.parametrize("params, classes", [((3, 2, 1), 11), ((5, 2, 1), 29)])
+def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes):
+    # |Z| + (|G| - |Z|)/p classes: 3 + 24/3 and 5 + 120/5.
+    calls = []
+    real = verify.measured_class
+
+    def counting(group, w, conjugators):
+        calls.append(w)
+        return real(group, w, conjugators)
+
+    monkeypatch.setattr(verify, "measured_class", counting)
+    [result] = class_size_claims(grid=[params])
+    assert result.passed
+    assert len(calls) == classes
+    # ... and each call starts in a class of its own.
+    group = metacyclic_group(*params)
+    gens = group.generator_elements()
+    assert len({real(group, w, gens) for w in calls}) == classes
+
+
+def test_class_size_values_match_per_element_loop():
+    results = class_size_claims(grid=SMALL_GRID)
+    assert [r.measured_value for r in results] == [
+        per_element_class_sizes(*params) for params in SMALL_GRID
+    ]
+
+
+def test_min_gen_rank_claim_is_checked_against_the_paper(monkeypatch):
+    [rank] = [r for r in sylow_claims(ks=(4,), long=True) if r.claim_id == "sylow.min-gen-rank"]
+    assert (rank.paper_value, rank.measured_value, rank.passed) == ("rank:5", "rank:5", True)
+    monkeypatch.setattr(TreeSylowGroup, "minimal_generating_size", lambda self, elements: 4)
+    [rank] = [r for r in sylow_claims(ks=(4,), long=True) if r.claim_id == "sylow.min-gen-rank"]
+    assert (rank.paper_value, rank.measured_value, rank.passed) == ("rank:5", "rank:4", False)
 
 
 def test_center_claims_pass():
