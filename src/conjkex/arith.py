@@ -1,9 +1,12 @@
 """Exact residue arithmetic and number-theoretic primitives.
 
-Everything downstream (the group platforms, the protocol, the attacks) is
-built on top of `Residue`: an eagerly reduced integer modulo a fixed
-modulus.  All integers are plain Python ints, so parameters of any
-magnitude work without overflow.
+The group platforms use only `is_probable_prime`, to validate p, and
+reduce their exponents with plain int arithmetic; the attacks use only
+`OpCounter`.  The rest (`Residue`, an eagerly reduced integer modulo a
+fixed modulus, with `mod_pow`, `mod_inv`, `mult_order`, `factorize` and
+`bsgs_dlog`) is a standalone toolkit that the tests and demos use as an
+independent oracle.  All integers are plain Python ints, so parameters
+of any magnitude work without overflow.
 """
 
 from __future__ import annotations

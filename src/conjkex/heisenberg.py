@@ -73,7 +73,7 @@ class HeisenbergGroup:
         for i in range(self.pm):
             for j in range(self.pn):
                 for k in range(self.p):
-                    yield HeisenbergElement(self, i, j, k)
+                    yield _make(self, i, j, k)
 
     def center_order(self) -> int:
         return self.p ** (self.m + self.n - 1)
@@ -128,15 +128,23 @@ class HeisenbergGroup:
 
 
 class HeisenbergElement:
-    """Normal form a^i b^j c^k."""
+    """Normal form a^i b^j c^k; immutable value object.
+
+    Inputs are checked at the public boundary: this constructor reduces
+    any int exponents mod p^m, p^n and p.  Products, inverses,
+    conjugates and the group's enumeration build their results with the
+    private `_make`, which stores exponents that are in range by
+    construction (each is reduced where it is computed) and skips
+    `__init__`.
+    """
 
     __slots__ = ("group", "i", "j", "k")
 
     def __init__(self, group: HeisenbergGroup, i: int, j: int, k: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "i", i % group.pm)
-        object.__setattr__(self, "j", j % group.pn)
-        object.__setattr__(self, "k", k % group.p)
+        _set_group(self, group)
+        _set_i(self, i % group.pm)
+        _set_j(self, j % group.pn)
+        _set_k(self, k % group.p)
 
     def __setattr__(self, name, val):
         raise AttributeError("HeisenbergElement is immutable")
@@ -149,18 +157,21 @@ class HeisenbergElement:
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         # b^j a^i = a^i b^j c^(-i*j), so the c-exponent picks up -j1*i2.
-        self._check(other)
         G = self.group
-        return HeisenbergElement(
+        if other.__class__ is not HeisenbergElement or other.group is not G:
+            self._check(other)
+        return _make(
             G,
-            self.i + other.i,
-            self.j + other.j,
-            self.k + other.k - self.j * other.i,
+            (self.i + other.i) % G.pm,
+            (self.j + other.j) % G.pn,
+            (self.k + other.k - self.j * other.i) % G.p,
         )
 
     def inverse(self) -> "HeisenbergElement":
         G = self.group
-        return HeisenbergElement(G, -self.i, -self.j, -self.k - self.i * self.j)
+        return _make(
+            G, -self.i % G.pm, -self.j % G.pn, (-self.k - self.i * self.j) % G.p
+        )
 
     def __pow__(self, exp: int) -> "HeisenbergElement":
         if exp < 0:
@@ -176,11 +187,10 @@ class HeisenbergElement:
 
     def conjugate_by(self, x: "HeisenbergElement") -> "HeisenbergElement":
         """x^-1 * self * x; only the c-exponent moves, by i*v - j*u."""
-        self._check(x)
         G = self.group
-        return HeisenbergElement(
-            G, self.i, self.j, self.k + self.i * x.j - self.j * x.i
-        )
+        if x.__class__ is not HeisenbergElement or x.group is not G:
+            self._check(x)
+        return _make(G, self.i, self.j, (self.k + self.i * x.j - self.j * x.i) % G.p)
 
     def conjugate_via_products(self, x: "HeisenbergElement") -> "HeisenbergElement":
         """Reference route for cross-checks: literal x^-1 * self * x."""
@@ -206,8 +216,10 @@ class HeisenbergElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HeisenbergElement)
-            and self.group == other.group
-            and (self.i, self.j, self.k) == (other.i, other.j, other.k)
+            and self.i == other.i
+            and self.j == other.j
+            and self.k == other.k
+            and (self.group is other.group or self.group == other.group)
         )
 
     def __hash__(self) -> int:
@@ -216,6 +228,23 @@ class HeisenbergElement:
     def __repr__(self) -> str:
         G = self.group
         return f"<a^{self.i} b^{self.j} c^{self.k} | p={G.p},m={G.m},n={G.n}>"
+
+
+_new = object.__new__
+_set_group = HeisenbergElement.group.__set__
+_set_i = HeisenbergElement.i.__set__
+_set_j = HeisenbergElement.j.__set__
+_set_k = HeisenbergElement.k.__set__
+
+
+def _make(group: HeisenbergGroup, i: int, j: int, k: int) -> HeisenbergElement:
+    """Private constructor: i, j and k must already be reduced."""
+    g = _new(HeisenbergElement)
+    _set_group(g, group)
+    _set_i(g, i)
+    _set_j(g, j)
+    _set_k(g, k)
+    return g
 
 
 def parse_canonical(text: str) -> HeisenbergElement:

@@ -124,7 +124,7 @@ class MetacyclicGroup:
             raise TooLargeError(f"|G| = {self.order} is beyond enumeration")
         for i in range(self.pm):
             for j in range(self.pn):
-                yield MetaElement(self, i, j)
+                yield _make(self, i, j)
 
     def center_order(self) -> int:
         return self.p ** (self.m + self.n - 2)
@@ -134,7 +134,7 @@ class MetacyclicGroup:
         if self.center_order() > ENUMERATION_CAP:
             raise TooLargeError("center too large to enumerate")
         return [
-            MetaElement(self, self.p * x, self.p * y)
+            _make(self, self.p * x, self.p * y)
             for x in range(self.pm // self.p)
             for y in range(self.pn // self.p)
         ]
@@ -210,14 +210,21 @@ class MetacyclicGroup:
 
 
 class MetaElement:
-    """Normal form a^i b^j; immutable value object."""
+    """Normal form a^i b^j; immutable value object.
+
+    Inputs are checked at the public boundary: this constructor reduces
+    any int exponents mod p^m and p^n.  Products, inverses and the
+    group's enumerations build their results with the private `_make`,
+    which stores exponents that are in range by construction (each is
+    reduced where it is computed) and skips `__init__`.
+    """
 
     __slots__ = ("group", "i", "j")
 
     def __init__(self, group: MetacyclicGroup, i: int, j: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "i", i % group.pm)
-        object.__setattr__(self, "j", j % group.pn)
+        _set_group(self, group)
+        _set_i(self, i % group.pm)
+        _set_j(self, j % group.pn)
 
     def __setattr__(self, name, val):
         raise AttributeError("MetaElement is immutable")
@@ -230,15 +237,16 @@ class MetaElement:
 
     def __mul__(self, other: "MetaElement") -> "MetaElement":
         # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*twist^j1) b^(j1 + j2)
-        self._check(other)
         G = self.group
-        return MetaElement(
-            G, self.i + other.i * G.twist_pow(self.j), self.j + other.j
-        )
+        if other.__class__ is not MetaElement or other.group is not G:
+            self._check(other)
+        pows = G._twist_pows
+        t = pows[self.j % G.p] if pows is not None else G.twist_pow(self.j)
+        return _make(G, (self.i + other.i * t) % G.pm, (self.j + other.j) % G.pn)
 
     def inverse(self) -> "MetaElement":
         G = self.group
-        return MetaElement(G, -self.i * G.twist_pow_inv(self.j), -self.j)
+        return _make(G, -self.i * G.twist_pow_inv(self.j) % G.pm, -self.j % G.pn)
 
     def __pow__(self, exp: int) -> "MetaElement":
         if exp < 0:
@@ -283,9 +291,9 @@ class MetaElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MetaElement)
-            and self.group == other.group
             and self.i == other.i
             and self.j == other.j
+            and (self.group is other.group or self.group == other.group)
         )
 
     def __hash__(self) -> int:
@@ -293,6 +301,21 @@ class MetaElement:
 
     def __repr__(self) -> str:
         return f"<a^{self.i} b^{self.j} | p={self.group.p},m={self.group.m},n={self.group.n}>"
+
+
+_new = object.__new__
+_set_group = MetaElement.group.__set__
+_set_i = MetaElement.i.__set__
+_set_j = MetaElement.j.__set__
+
+
+def _make(group: MetacyclicGroup, i: int, j: int) -> MetaElement:
+    """Private constructor: i and j must already be reduced."""
+    g = _new(MetaElement)
+    _set_group(g, group)
+    _set_i(g, i)
+    _set_j(g, j)
+    return g
 
 
 def parse_canonical(text: str) -> MetaElement:

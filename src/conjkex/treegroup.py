@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     DepthMismatchError,
@@ -77,6 +77,12 @@ class TreeSylowGroup:
             int(("0" * (1 << e) + "1" * (1 << e)) * (1 << (k - 1 - e)), 2)
             for e in range(k - 1)
         )
+        # Shared by every product: the masks of a left factor with no
+        # labels above the bottom level, and the delta-swap stage orders
+        # (products shallowest ancestor first, inverses deepest first).
+        self._zero_masks = (0,) * (k - 1)
+        self._mul_order = tuple(range(k - 2, -1, -1))
+        self._inv_order = tuple(range(k - 1))
 
     # ----------------------------------------------------------- elements
 
@@ -95,7 +101,7 @@ class TreeSylowGroup:
             if mask >> width:
                 raise ValueError(f"mask {mask:#x} too wide for level {level}")
             packed |= _reverse(mask, width) << self._offset(level)
-        return Portrait(self, packed)
+        return _make(self, packed)
 
     def single(self, level: int, pos: int) -> "Portrait":
         return self.from_level_masks({level: 1 << pos})
@@ -113,7 +119,7 @@ class TreeSylowGroup:
         # Vertex pos sits at the field's high end when pos is 0.
         return self._offset(level) + (1 << level) - 1 - pos
 
-    def _swap_masks(self, packed: int) -> list[int]:
+    def _swap_masks(self, packed: int) -> Sequence[int]:
         """Delta-swap masks of the portrait `packed`, indexed by j.
 
         masks[j] selects the lower half of every 2^(j+1)-bit block on
@@ -132,14 +138,17 @@ class TreeSylowGroup:
         reach.  Once the labels have shifted out, every later mask is 0.
 
         Cost: a dense portrait takes O(k^2) full-width operations.  One
-        labelled only on the bottom level takes none; one labelled only
+        labelled only on the bottom level takes none and gets the
+        group's shared all-zero tuple; one labelled only
         on level l takes k-1-l stages, each spreading only the labelled
         span, so O(k) in all; level k-2 (a key) takes the j = 0 spread
         alone.
         """
+        half = self.leaves >> 1
+        if not packed >> half:
+            return self._zero_masks
         k = self.k
         spread = self._spread
-        half = self.leaves >> 1
         # The level-(k-2) field of `low`: empty only when the labels
         # still to spread sit high, the case the strip is for.
         last_field = (1 << (half >> 1)) - 1
@@ -176,7 +185,7 @@ class TreeSylowGroup:
         if self.k > MAX_ENUM_DEPTH:
             raise DepthTooLargeError(f"enumeration limited to k <= {MAX_ENUM_DEPTH}")
         for packed in range(1 << self.bit_count):
-            g = Portrait(self, packed)
+            g = _make(self, packed)
             if even_only and not g.is_even():
                 continue
             yield g
@@ -398,15 +407,24 @@ class TreeSylowGroup:
 
 
 class Portrait:
-    """One swap/identity bit per internal vertex, packed level-order."""
+    """One swap/identity bit per internal vertex, packed level-order.
+
+    Inputs are checked at the public boundary: this constructor rejects
+    a packed value wider than the tree.  Products, inverses,
+    `from_level_masks` (which checks each level's width) and the
+    enumeration build their results with the private `_make`, which
+    skips that check because each such value is in range by
+    construction (a product's levels are its factors' levels, XORed and
+    permuted within each level).
+    """
 
     __slots__ = ("group", "packed")
 
     def __init__(self, group: TreeSylowGroup, packed: int):
         if packed >> group.bit_count:
             raise ValueError("packed value has more bits than the tree has vertices")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "packed", packed)
+        _set_group(self, group)
+        _set_packed(self, packed)
 
     def __setattr__(self, name, val):
         raise AttributeError("Portrait is immutable")
@@ -440,18 +458,18 @@ class Portrait:
         Every level: self's labels XOR other's labels permuted by self's
         action on that level (the module docstring has the swaps).
         """
-        self._check(other)
         G = self.group
+        if other.__class__ is not Portrait or other.group is not G:
+            self._check(other)
         masks = G._swap_masks(self.packed)
-        # Shallowest ancestors first: the widest halves.
-        permuted = _swap_halves(other.packed, masks, range(G.k - 2, -1, -1))
-        return Portrait(G, self.packed ^ permuted)
+        permuted = _swap_halves(other.packed, masks, G._mul_order)
+        return _make(G, self.packed ^ permuted)
 
     def inverse(self) -> "Portrait":
         # Each level of self, permuted by the inverse of self's action.
         G = self.group
         masks = G._swap_masks(self.packed)
-        return Portrait(G, _swap_halves(self.packed, masks, range(G.k - 1)))
+        return _make(G, _swap_halves(self.packed, masks, G._inv_order))
 
     def apply(self, leaf: int) -> int:
         """Image of a leaf in [0, 2^k); the path bits are flipped by the
@@ -493,8 +511,8 @@ class Portrait:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Portrait)
-            and self.group.k == other.group.k
             and self.packed == other.packed
+            and (self.group is other.group or self.group.k == other.group.k)
         )
 
     def __hash__(self) -> int:
@@ -504,12 +522,25 @@ class Portrait:
         return f"Portrait(k={self.group.k}, bits={self.packed:#x})"
 
 
+_new = object.__new__
+_set_group = Portrait.group.__set__
+_set_packed = Portrait.packed.__set__
+
+
+def _make(group: TreeSylowGroup, packed: int) -> Portrait:
+    """Private constructor: `packed` must already fit the tree."""
+    g = _new(Portrait)
+    _set_group(g, group)
+    _set_packed(g, packed)
+    return g
+
+
 def _reverse(bits: int, width: int) -> int:
     """The low `width` bits of `bits` in reverse order."""
     return int(f"{bits:0{width}b}"[::-1], 2)
 
 
-def _swap_halves(x: int, masks: list[int], order: Iterable[int]) -> int:
+def _swap_halves(x: int, masks: Sequence[int], order: Iterable[int]) -> int:
     """Delta swaps: for each j in order, exchange every bit of x that
     masks[j] selects with the bit 2^j above it; a stage whose mask is 0
     does nothing and is skipped."""

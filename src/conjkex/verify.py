@@ -272,12 +272,24 @@ def run_suites(
     long: bool = False,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> list[ClaimResult]:
+    """Run the named suites and return their claims sorted by id.
+
+    Raises ValueError for an unknown suite, and for a metacyclic grid
+    suite (theorems, center) when `max_order` leaves its grid empty: a
+    suite that checks nothing must not read as passed.
+    """
     results: list[ClaimResult] = []
     for name in names:
-        if name == "theorems":
-            results.extend(class_size_claims(max_order=max_order))
-        elif name == "center":
-            results.extend(center_claims(max_order=max_order))
+        if name in ("theorems", "center"):
+            grid = default_param_grid(max_order)
+            if not grid:
+                raise ValueError(
+                    f"max order {max_order} leaves the {name} suite no group "
+                    f"(the smallest has order "
+                    f"{min(DEFAULT_PRIMES) ** (min(DEFAULT_MS) + min(DEFAULT_NS))})"
+                )
+            suite = class_size_claims if name == "theorems" else center_claims
+            results.extend(suite(grid))
         elif name == "orbit":
             results.extend(heisenberg_orbit_claims())
         elif name == "sylow":

@@ -111,6 +111,25 @@ def test_verify_theorems_suite(capsys):
     assert "claims passed" in err
 
 
+@pytest.mark.parametrize("suite", ["theorems", "center", "all"])
+@pytest.mark.parametrize("max_order", ["0", "-5", "26"])
+def test_verify_empty_grid_is_a_usage_error(capsys, suite, max_order):
+    # Below |G| = 27 no metacyclic group is left, so a grid suite would
+    # print no claims and the run would read as passed.
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-order", max_order)
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "no group" in err
+
+
+def test_verify_smallest_grid_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "center", "--max-order", "27")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert {r["params"] for r in records} == {"p=3,m=2,n=1"}
+    assert all(r["pass"] for r in records)
+
+
 def test_verify_growth_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "growth")
     assert code == 0

@@ -1,0 +1,197 @@
+"""The element contract shared by the three platforms.
+
+Products, inverses and conjugates take a fast path when both operands
+share one interned group object and build their results without
+re-validating them.  These tests pin that the fast path changes nothing
+observable: equal but distinct group objects still interoperate, every
+mismatch raises what it raised before, and every result equals the
+element the public constructor builds from the same values.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conjkex.errors import DepthMismatchError, ParamMismatchError
+from conjkex.heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
+from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
+from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
+
+EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+def compose_perms(p, q):
+    """Oracle: permutation of "p then q" under the package convention."""
+    return tuple(q[p[x]] for x in range(len(p)))
+
+
+def assert_immutable(g, *names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+
+
+# ------------------------------------------- equal but distinct group objects
+
+def test_metacyclic_distinct_equal_groups_interoperate():
+    interned = metacyclic_group(5, 2, 1)
+    fresh = MetacyclicGroup(5, 2, 1)  # outside the lru_cache
+    assert fresh is not interned and fresh == interned
+    assert fresh._twist_pows is None  # its power table is not built yet
+    g, h = interned.element(7, 3), fresh.element(11, 4)
+    assert g * h == interned.element(7, 3) * interned.element(11, 4)
+    assert h * g == interned.element(11, 4) * interned.element(7, 3)
+    assert fresh.element(7, 3) == g and hash(fresh.element(7, 3)) == hash(g)
+    assert h.conjugate_by(g) == interned.element(11, 4).conjugate_by(g)
+    assert (g * h).group is interned and (h * g).group is fresh
+
+
+def test_heisenberg_distinct_equal_groups_interoperate():
+    interned = heisenberg_group(5, 1, 1)
+    fresh = HeisenbergGroup(5, 1, 1)
+    assert fresh is not interned and fresh == interned
+    g, h = interned.element(2, 3, 4), fresh.element(1, 4, 2)
+    same_h = interned.element(1, 4, 2)
+    assert g * h == g * same_h and h * g == same_h * g
+    assert fresh.element(2, 3, 4) == g and hash(fresh.element(2, 3, 4)) == hash(g)
+    assert h.conjugate_by(g) == same_h.conjugate_by(g)
+    assert g.conjugate_by(h) == g.conjugate_by(same_h)
+
+
+def test_tree_distinct_equal_groups_interoperate():
+    interned = tree_group(3)
+    fresh = TreeSylowGroup(3)
+    assert fresh is not interned and fresh == interned
+    g, h = interned.from_packed(0b1011001), fresh.from_packed(0b0110110)
+    same_h = interned.from_packed(h.packed)
+    assert g * h == g * same_h and h * g == same_h * g
+    assert h == same_h and hash(h) == hash(same_h)
+    assert h.conjugate_by(g) == same_h.conjugate_by(g)
+
+
+# -------------------------------------------------- mismatches still raise
+
+@pytest.mark.parametrize("other", [
+    metacyclic_group(5, 2, 1).a(),
+    metacyclic_group(3, 3, 1).a(),
+    MetacyclicGroup(3, 2, 1).a(),
+])
+def test_metacyclic_mismatched_params_raise(other):
+    g = metacyclic_group(3, 2, 2).a()  # same exponents as `other`
+    with pytest.raises(ParamMismatchError, match="different parameters"):
+        g * other
+    with pytest.raises(ParamMismatchError, match="different parameters"):
+        g.conjugate_by(other)
+    assert g != other
+
+
+@pytest.mark.parametrize("other", [
+    heisenberg_group(5, 1, 1).a(),
+    heisenberg_group(3, 2, 1).a(),
+    HeisenbergGroup(3, 1, 2).a(),
+])
+def test_heisenberg_mismatched_params_raise(other):
+    g = heisenberg_group(3, 1, 1).a()  # same exponents as `other`
+    with pytest.raises(ParamMismatchError, match="different parameters"):
+        g * other
+    with pytest.raises(ParamMismatchError, match="different parameters"):
+        g.conjugate_by(other)
+    assert g != other
+
+
+@pytest.mark.parametrize("other", [tree_group(2).identity(), TreeSylowGroup(4).identity()])
+def test_tree_depth_mismatch_raises(other):
+    g = tree_group(3).identity()  # same packed bits as `other`
+    with pytest.raises(DepthMismatchError, match="depth mismatch"):
+        g * other
+    with pytest.raises(DepthMismatchError, match="depth mismatch"):
+        g.conjugate_by(other)
+    assert g != other
+
+
+ONE_PER_PLATFORM = [
+    metacyclic_group(3, 2, 1).a(), heisenberg_group(3, 1, 1).a(), tree_group(3).single(0, 0),
+]
+
+
+@pytest.mark.parametrize("g,other", [
+    (g, other)
+    for g in ONE_PER_PLATFORM
+    for other in [3, None, (1, 0), *ONE_PER_PLATFORM]
+    if other.__class__ is not g.__class__
+])
+def test_non_element_operand_raises_type_error(g, other):
+    expected = f"expected a {type(g).__name__}"
+    with pytest.raises(TypeError, match=expected):
+        g * other
+    with pytest.raises(TypeError, match=expected):
+        g.conjugate_by(other)
+    assert g != other
+
+
+# ------------------------------------ results equal the public constructor's
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(3, 2, 1), (5, 3, 2), (7, 2, 3), (65537, 2, 1)]),
+       EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
+def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
+    G = metacyclic_group(*params)
+    g, h = G.element(i1, j1), G.element(i2, j2)
+
+    def t(j):
+        return pow(G.twist, j, G.pm)
+
+    cases = [
+        (g * h, MetaElement(G, g.i + h.i * t(g.j), g.j + h.j)),
+        (g.inverse(), MetaElement(G, -g.i * t(-g.j), -g.j)),
+        (h.conjugate_by(g), MetaElement(G, h.i * t(g.j) + g.i * (1 - t(h.j)), h.j)),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert 0 <= got.i < G.pm and 0 <= got.j < G.pn
+        assert got.group is G
+        assert_immutable(got, "group", "i", "j")
+    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(3, 1, 1), (5, 2, 1), (7, 1, 3), (65537, 1, 1)]),
+       EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
+def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2, k2):
+    G = heisenberg_group(*params)
+    g, h = G.element(i1, j1, k1), G.element(i2, j2, k2)
+    cases = [
+        (g * h, HeisenbergElement(G, g.i + h.i, g.j + h.j, g.k + h.k - g.j * h.i)),
+        (g.inverse(), HeisenbergElement(G, -g.i, -g.j, -g.k - g.i * g.j)),
+        (h.conjugate_by(g), h.conjugate_via_products(g)),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert 0 <= got.i < G.pm and 0 <= got.j < G.pn and 0 <= got.k < G.p
+        assert got.group is G
+        assert_immutable(got, "group", "i", "j", "k")
+    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+
+
+@st.composite
+def portraits(draw, G):
+    # Dense, or labelled on the bottom level only: the shared-zero-mask case.
+    bottom = (1 << (G.leaves >> 1)) - 1
+    packed = draw(st.integers(min_value=0, max_value=G.order() - 1))
+    return G.from_packed(packed & draw(st.sampled_from([G.order() - 1, bottom])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=6))
+def test_tree_results_match_public_constructor(data, k):
+    G = tree_group(k)
+    g, h = data.draw(portraits(G)), data.draw(portraits(G))
+    pg, ph = g.to_permutation(), h.to_permutation()
+    for got in (g * h, g.inverse(), h.conjugate_by(g)):
+        want = Portrait(G, got.packed)  # raises if out of range
+        assert got == want and hash(got) == hash(want)
+        assert got.group is G
+        assert_immutable(got, "group", "packed")
+    assert (g * h).to_permutation() == compose_perms(pg, ph)
+    assert compose_perms(g.inverse().to_permutation(), pg) == tuple(range(G.leaves))
+    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
