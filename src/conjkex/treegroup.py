@@ -81,6 +81,8 @@ class TreeSylowGroup:
         # labels above the bottom level, and the delta-swap stage orders
         # (products shallowest ancestor first, inverses deepest first).
         self._zero_masks = (0,) * (k - 1)
+        # Every bottom label set: the one non-identity central element.
+        self._bottom = (1 << (self.leaves >> 1)) - 1
         self._mul_order = tuple(range(k - 2, -1, -1))
         self._inv_order = tuple(range(k - 1))
 
@@ -381,9 +383,11 @@ class TreeSylowGroup:
         return frozenset(seen)
 
     def is_central(self, w: "Portrait") -> bool:
-        """Center test against the generating set."""
+        """Center test in closed form: the center of the Sylow 2-subgroup
+        has order 2 (Kaloujnine 1948), the identity and the portrait
+        that swaps every bottom pair of leaves."""
         self._own(w)
-        return all(w * g == g * w for g in self._s_generators)
+        return w.packed == 0 or w.packed == self._bottom
 
     def wire_params(self) -> dict[str, str]:
         return {"k": str(self.k)}
@@ -491,8 +495,7 @@ class Portrait:
         # Only bottom-level swaps are single transpositions; every higher
         # level contributes an even number of them.  The bottom level is
         # the low 2^(k-1) bits.
-        bottom = self.packed & ((1 << (self.group.leaves >> 1)) - 1)
-        return bottom.bit_count() % 2 == 0
+        return (self.packed & self.group._bottom).bit_count() % 2 == 0
 
     def is_identity(self) -> bool:
         return self.packed == 0
@@ -535,9 +538,19 @@ def _make(group: TreeSylowGroup, packed: int) -> Portrait:
     return g
 
 
+# _REV8[b] is the byte b with its bits in reverse order.
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _reverse(bits: int, width: int) -> int:
-    """The low `width` bits of `bits` in reverse order."""
-    return int(f"{bits:0{width}b}"[::-1], 2)
+    """The `width` bits of `bits` (which must fit them) in reverse order.
+
+    A width of whole bytes reverses the bits of each byte by table and
+    the byte order by reading the bytes back big-endian.
+    """
+    if width & 7:
+        return int(f"{bits:0{width}b}"[::-1], 2)
+    return int.from_bytes(bits.to_bytes(width >> 3, "little").translate(_REV8), "big")
 
 
 def _swap_halves(x: int, masks: Sequence[int], order: Iterable[int]) -> int:

@@ -59,10 +59,21 @@ def default_param_grid(max_order: int = DEFAULT_MAX_ORDER) -> list[tuple[int, in
 
 # ------------------------------------------------- independent measurement
 
-def measured_class(group, w, conjugators) -> frozenset:
+def conjugation_pairs(conjugators) -> list:
+    """(x, x^-1) for each conjugator x, as `measured_class` uses them."""
+    return [(x, x.inverse()) for x in conjugators]
+
+
+def measured_class(group, w, conjugators, *, pairs=None) -> frozenset:
     """Conjugacy class as closure under conjugation by the generators,
-    using nothing but element products."""
-    pairs = [(x, x.inverse()) for x in conjugators]
+    using nothing but element products.
+
+    A caller that closes many classes under the same conjugators passes
+    `pairs=conjugation_pairs(conjugators)`, built once, instead of having
+    every call invert the conjugators again.
+    """
+    if pairs is None:
+        pairs = conjugation_pairs(conjugators)
     seen = {w}
     frontier = [w]
     while frontier:
@@ -118,12 +129,13 @@ def class_size_claims(
         started = time.perf_counter()
         group = metacyclic_group(p, m, n)
         gens = group.generator_elements()
+        pairs = conjugation_pairs(gens)
         sizes = {True: set(), False: set()}  # central -> observed sizes
         placed = bytearray(group.order)
         for g in group.elements():
             if placed[g.i * group.pn + g.j]:
                 continue
-            cls = measured_class(group, g, gens)
+            cls = measured_class(group, g, gens, pairs=pairs)
             for h in cls:
                 placed[h.i * group.pn + h.j] = 1
                 central = all(h * x == x * h for x in gens)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -152,6 +153,18 @@ def test_deep_tree_transcripts_pinned(k):
     result = run_demo(tree_group(k).default_base(), 7, 11, debug_key=True)
     assert result.agreed
     assert result.transcript.to_text() == golden.read_text(encoding="ascii")
+
+
+def test_max_depth_transcript_pinned():
+    # sha256 of the k=20 transcript, written by the word-at-a-time draw
+    # and the string bit reversal; its 4097-bit key space runs the
+    # leading-word rejection, the lane-wise mix and the byte-table
+    # reversal end to end.
+    result = run_demo(tree_group(20).default_base(), 1, 2, debug_key=True)
+    assert result.agreed
+    assert hashlib.sha256(result.transcript.to_text().encode("ascii")).hexdigest() == (
+        "f26c13864270f21560a8362278a76e64b822a579c3dab2447268968e6287e7c6"
+    )
 
 
 def test_debug_key_flag_controls_embedding():

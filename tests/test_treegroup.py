@@ -13,7 +13,15 @@ from conjkex.errors import (
     NotAGroupError,
     ParseError,
 )
-from conjkex.treegroup import MAX_DEPTH, Portrait, commutator, parse_canonical, tree_group
+from conjkex.kex import validate_base
+from conjkex.treegroup import (
+    MAX_DEPTH,
+    Portrait,
+    _reverse,
+    commutator,
+    parse_canonical,
+    tree_group,
+)
 
 
 def compose_perms(p, q):
@@ -336,6 +344,60 @@ def test_conjugacy_class_and_center_match_brute_force(k):
     center = {w for w in elements if G.is_central(w)}
     all_bottom = G.from_level_masks({k - 1: (1 << (1 << (k - 1))) - 1})
     assert center == {G.identity(), all_bottom}
+
+
+def commutes_with_generators(G, w):
+    """Oracle: w is central iff it commutes with every S-generator."""
+    return all(w * g == g * w for g in G.generators("S"))
+
+
+@pytest.mark.parametrize("k", range(5, 13))
+def test_closed_form_center_matches_generator_oracle(k):
+    G = tree_group(k)
+    rng = random.Random(500 + k)
+    bottom = k - 1
+    all_bottom = G.from_level_masks({bottom: (1 << (1 << bottom)) - 1})
+    cases = [G.identity(), all_bottom]
+    for pos in {0, (1 << bottom) - 1, rng.randrange(1 << bottom)}:
+        cases.append(G.from_packed(all_bottom.packed ^ (1 << G._shift(bottom, pos))))
+    for level in range(k):
+        for pos in {0, (1 << level) - 1, rng.randrange(1 << level)}:
+            cases.append(G.single(level, pos))
+    cases += [random_portrait(G, rng) for _ in range(8)]
+    for w in cases:
+        assert G.is_central(w) == commutes_with_generators(G, w), w
+    assert G.is_central(all_bottom) and G.is_central(G.identity())
+
+
+@pytest.mark.parametrize("k", [14, MAX_DEPTH])
+def test_validate_base_rejects_the_center_at_depth(k):
+    G = tree_group(k)
+    bottom = k - 1
+    all_bottom = G.from_level_masks({bottom: (1 << (1 << bottom)) - 1})
+    assert not validate_base(all_bottom)
+    assert not validate_base(G.identity())
+    assert validate_base(G.default_base())
+    assert validate_base(G.from_packed(all_bottom.packed ^ 1))
+
+
+def string_reverse(bits, width):
+    return int(f"{bits:0{width}b}"[::-1], 2)
+
+
+def test_reverse_matches_string_reversal():
+    rng = random.Random(4096)
+    for width in list(range(1, (1 << 12) + 1)) + [1 << 18]:
+        top = (1 << width) - 1
+        for bits in (0, 1, top, 1 << (width - 1), rng.getrandbits(width)):
+            assert _reverse(bits, width) == string_reverse(bits, width), (width, bits)
+
+
+def test_level_masks_roundtrip_at_max_depth():
+    G = tree_group(MAX_DEPTH)
+    rng = random.Random(20)
+    for level in range(MAX_DEPTH):
+        for mask in (1, (1 << (1 << level)) - 1, rng.getrandbits(1 << level)):
+            assert G.from_level_masks({level: mask}).level_mask(level) == mask
 
 
 @pytest.mark.parametrize("k", [4, 8])

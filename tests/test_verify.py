@@ -58,9 +58,9 @@ def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes)
     calls = []
     real = verify.measured_class
 
-    def counting(group, w, conjugators):
+    def counting(group, w, conjugators, **kwargs):
         calls.append(w)
-        return real(group, w, conjugators)
+        return real(group, w, conjugators, **kwargs)
 
     monkeypatch.setattr(verify, "measured_class", counting)
     [result] = class_size_claims(grid=[params])
