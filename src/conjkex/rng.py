@@ -11,7 +11,7 @@ SplitMix64 mix of `state + t*GAMMA`, the first word most significant.
 Two shortcuts leave every value and state unchanged.  A candidate's
 leading word alone decides its rejection whenever it differs from the
 bound's leading bits, and a rejected candidate advances the state past
-its other words without mixing them.  Draws of five or more words mix
+its other words without mixing them.  Draws of three or more words mix
 all words at once, one word per 128-bit lane of a single int.
 """
 
@@ -57,7 +57,9 @@ class SplitMix64:
 
     def _words(self, words: int) -> int:
         """The next `words` words, first word most significant."""
-        if words < 5:
+        # One or two words are cheaper through next64; from three words on
+        # the lane-wise mix is as fast or faster.
+        if words < 3:
             out = 0
             for _ in range(words):
                 out = (out << 64) | self.next64()
@@ -94,11 +96,6 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         bits = bound.bit_length()
         rest_words = (bits - 1) // 64
-        if not rest_words:
-            while True:
-                value = self.randbits(bits)
-                if value < bound:
-                    return value
         rest_bits = 64 * rest_words
         lead_bound = bound >> rest_bits
         rest_bound = bound & ((1 << rest_bits) - 1)

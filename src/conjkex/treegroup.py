@@ -545,12 +545,12 @@ _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def _reverse(bits: int, width: int) -> int:
     """The `width` bits of `bits` (which must fit them) in reverse order.
 
-    A width of whole bytes reverses the bits of each byte by table and
-    the byte order by reading the bytes back big-endian.
+    The bits of each byte are reversed by table and the byte order by
+    reading the bytes back big-endian; a width that is not whole bytes
+    then drops the zeros that its last byte contributed below.
     """
-    if width & 7:
-        return int(f"{bits:0{width}b}"[::-1], 2)
-    return int.from_bytes(bits.to_bytes(width >> 3, "little").translate(_REV8), "big")
+    n = (width + 7) >> 3
+    return int.from_bytes(bits.to_bytes(n, "little").translate(_REV8), "big") >> (8 * n - width)
 
 
 def _swap_halves(x: int, masks: Sequence[int], order: Iterable[int]) -> int:

@@ -64,16 +64,13 @@ def conjugation_pairs(conjugators) -> list:
     return [(x, x.inverse()) for x in conjugators]
 
 
-def measured_class(group, w, conjugators, *, pairs=None) -> frozenset:
+def measured_class(group, w, pairs) -> frozenset:
     """Conjugacy class as closure under conjugation by the generators,
     using nothing but element products.
 
-    A caller that closes many classes under the same conjugators passes
-    `pairs=conjugation_pairs(conjugators)`, built once, instead of having
-    every call invert the conjugators again.
+    `pairs` is `conjugation_pairs(generators)`; a caller that closes many
+    classes builds it once per group.
     """
-    if pairs is None:
-        pairs = conjugation_pairs(conjugators)
     seen = {w}
     frontier = [w]
     while frontier:
@@ -135,7 +132,7 @@ def class_size_claims(
         for g in group.elements():
             if placed[g.i * group.pn + g.j]:
                 continue
-            cls = measured_class(group, g, gens, pairs=pairs)
+            cls = measured_class(group, g, pairs)
             for h in cls:
                 placed[h.i * group.pn + h.j] = 1
                 central = all(h * x == x * h for x in gens)
@@ -189,7 +186,9 @@ def heisenberg_orbit_claims(primes: Iterable[int] = DEFAULT_PRIMES) -> list[Clai
     for p in primes:
         started = time.perf_counter()
         group = heisenberg_group(p, 1, 1)
-        cls = measured_class(group, group.a(), group.generator_elements())
+        cls = measured_class(
+            group, group.a(), conjugation_pairs(group.generator_elements())
+        )
         expected_set = frozenset(group.element(1, 0, r) for r in range(p))
         measured = f"size:{len(cls)};sweep:{cls == expected_set}"
         results.append(

@@ -17,6 +17,7 @@ from conjkex.treegroup import tree_group
 from conjkex.verify import (
     center_claims,
     class_size_claims,
+    conjugation_pairs,
     default_param_grid,
     measured_class,
 )
@@ -79,7 +80,9 @@ def test_criterion_4_heisenberg_orbit():
     ok = True
     for p in (3, 5, 7):
         group = heisenberg_group(p, 1, 1)
-        cls = measured_class(group, group.a(), group.generator_elements())
+        cls = measured_class(
+            group, group.a(), conjugation_pairs(group.generator_elements())
+        )
         expected = frozenset(group.element(1, 0, r) for r in range(p))
         ok = ok and cls == expected and len(cls) == p
     report(4, "class of a is {a, ac, ..., ac^(p-1)} for p in {3,5,7}", ok)

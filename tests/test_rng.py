@@ -199,7 +199,7 @@ def test_draws_match_word_at_a_time_reference(seed, draws):
 
 
 def test_lane_draws_every_width_and_bounded_cache():
-    # Every word count from 1 to 300, through the 4-word loop and the
+    # Every word count from 1 to 300, through the two-word loop and the
     # lane-wise mix; more widths than the lane-constant cache holds.
     rng, ref = SplitMix64(77), WordAtATime(77)
     for words in range(1, 301):

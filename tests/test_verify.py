@@ -44,9 +44,10 @@ def per_element_class_sizes(p, m, n):
     """The class-size measurement with one closure per element."""
     group = metacyclic_group(p, m, n)
     gens = group.generator_elements()
+    pairs = verify.conjugation_pairs(gens)
     sizes = {True: set(), False: set()}
     for g in group.elements():
-        cls = verify.measured_class(group, g, gens)
+        cls = verify.measured_class(group, g, pairs)
         central = all(g * x == x * g for x in gens)
         sizes[central].add(len(cls))
     return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
@@ -58,9 +59,9 @@ def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes)
     calls = []
     real = verify.measured_class
 
-    def counting(group, w, conjugators, **kwargs):
+    def counting(group, w, pairs):
         calls.append(w)
-        return real(group, w, conjugators, **kwargs)
+        return real(group, w, pairs)
 
     monkeypatch.setattr(verify, "measured_class", counting)
     [result] = class_size_claims(grid=[params])
@@ -68,8 +69,8 @@ def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes)
     assert len(calls) == classes
     # ... and each call starts in a class of its own.
     group = metacyclic_group(*params)
-    gens = group.generator_elements()
-    assert len({real(group, w, gens) for w in calls}) == classes
+    pairs = verify.conjugation_pairs(group.generator_elements())
+    assert len({real(group, w, pairs) for w in calls}) == classes
 
 
 def test_class_size_values_match_per_element_loop():
