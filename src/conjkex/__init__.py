@@ -8,7 +8,7 @@ operations, and a suite verifying the structural claims the construction
 rests on.
 """
 
-from .arith import OpCounter, Residue, bsgs_dlog, is_probable_prime, mod_inv, mod_pow, mult_order
+from .arith import OpCounter, bsgs_dlog, is_probable_prime
 from .cryptanalysis import AttackReport, brute_conjugacy, bsgs_break, orbit_stats
 from .heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from .kex import DemoResult, Session, Transcript, parse_element, run_demo, validate_base
@@ -28,7 +28,6 @@ __all__ = [
     "MetacyclicGroup",
     "OpCounter",
     "Portrait",
-    "Residue",
     "Session",
     "Transcript",
     "TreeSylowGroup",
@@ -39,9 +38,6 @@ __all__ = [
     "heisenberg_group",
     "is_probable_prime",
     "metacyclic_group",
-    "mod_inv",
-    "mod_pow",
-    "mult_order",
     "orbit_stats",
     "parse_element",
     "run_demo",

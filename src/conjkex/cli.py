@@ -108,8 +108,12 @@ def _cmd_demo(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            fh.write(result.transcript.to_text())
+        try:
+            with open(args.transcript, "w", encoding="utf-8") as fh:
+                fh.write(result.transcript.to_text())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(
         json.dumps(
             {

@@ -56,8 +56,9 @@ def bsgs_break(w, w_x, w_y) -> AttackReport:
     Alice's twist power; `MetacyclicGroup.twist_log` reads the least
     exponent s with twist^s = q off it by one division, and the key's
     exponent is w_y's times q.  That is 2 modular multiplications for any
-    p.  The name is historical: no baby-step giant-step runs here, though
-    `arith.bsgs_dlog` solves the same target to the same exponent.
+    p.  The name is historical: no baby-step giant-step runs here.  The
+    generic O(sqrt(p)) search `arith.bsgs_dlog(group.twist, q, group.pm,
+    group.p)` finds the same exponent; the tests hold `twist_log` to it.
     """
     group = w.group
     if group.kind != "metacyclic":

@@ -17,14 +17,6 @@ class DepthMismatchError(ParamMismatchError):
     """Tree portraits of different depth were composed."""
 
 
-class NotInvertibleError(ConjKexError):
-    """Residue shares a factor with its modulus."""
-
-
-class BoundExceededError(ConjKexError):
-    """Multiplicative order exceeds the caller's stated bound."""
-
-
 class NoSolutionError(ConjKexError):
     """Discrete-log target lies outside the cyclic subgroup searched."""
 

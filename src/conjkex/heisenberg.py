@@ -17,14 +17,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from .arith import is_probable_prime
-from .errors import ParamMismatchError, ParseError, TooLargeError
+from .core import ENUMERATION_CAP, Element, Group
+from .errors import ParseError, TooLargeError
 
 _CANONICAL_RE = re.compile(
     r"^mm:p=(0|[1-9]\d*);m=(0|[1-9]\d*);n=(0|[1-9]\d*);"
     r"i=(0|[1-9]\d*);j=(0|[1-9]\d*);k=(0|[1-9]\d*)$"
 )
-
-ENUMERATION_CAP = 10 ** 6
 
 
 @lru_cache(maxsize=None)
@@ -32,10 +31,11 @@ def heisenberg_group(p: int, m: int, n: int) -> "HeisenbergGroup":
     return HeisenbergGroup(p, m, n)
 
 
-class HeisenbergGroup:
+class HeisenbergGroup(Group):
     """Parameters p, m, n for the a/b/c presentation above."""
 
     kind = "heisenberg"
+    param_names = ("p", "m", "n")
 
     def __init__(self, p: int, m: int, n: int):
         if m < 1 or n < 1:
@@ -104,30 +104,11 @@ class HeisenbergGroup:
     def commuting_conjugator(self, s: int) -> "HeisenbergElement":
         return self.b(s)
 
-    def wire_params(self) -> dict[str, str]:
-        return {"p": str(self.p), "m": str(self.m), "n": str(self.n)}
-
     def default_base(self) -> "HeisenbergElement":
         return self.a(1)
 
-    def _own(self, g: "HeisenbergElement") -> None:
-        if g.group is not self:
-            raise ParamMismatchError("element belongs to a different group")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeisenbergGroup)
-            and (self.p, self.m, self.n) == (other.p, other.m, other.n)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.m, self.n))
-
-    def __repr__(self) -> str:
-        return f"HeisenbergGroup(p={self.p}, m={self.m}, n={self.n})"
-
-
-class HeisenbergElement:
+class HeisenbergElement(Element):
     """Normal form a^i b^j c^k; immutable value object.
 
     Inputs are checked at the public boundary: this constructor reduces
@@ -145,15 +126,6 @@ class HeisenbergElement:
         _set_i(self, i % group.pm)
         _set_j(self, j % group.pn)
         _set_k(self, k % group.p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("HeisenbergElement is immutable")
-
-    def _check(self, other: "HeisenbergElement") -> None:
-        if not isinstance(other, HeisenbergElement):
-            raise TypeError("expected a HeisenbergElement")
-        if self.group is not other.group and self.group != other.group:
-            raise ParamMismatchError("elements built under different parameters")
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         # b^j a^i = a^i b^j c^(-i*j), so the c-exponent picks up -j1*i2.
@@ -173,18 +145,6 @@ class HeisenbergElement:
             G, -self.i % G.pm, -self.j % G.pn, (-self.k - self.i * self.j) % G.p
         )
 
-    def __pow__(self, exp: int) -> "HeisenbergElement":
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        out = self.group.identity()
-        sq = self
-        while exp:
-            if exp & 1:
-                out = out * sq
-            sq = sq * sq
-            exp >>= 1
-        return out
-
     def conjugate_by(self, x: "HeisenbergElement") -> "HeisenbergElement":
         """x^-1 * self * x; only the c-exponent moves, by i*v - j*u."""
         G = self.group
@@ -196,9 +156,6 @@ class HeisenbergElement:
         """Reference route for cross-checks: literal x^-1 * self * x."""
         self._check(x)
         return x.inverse() * self * x
-
-    def commutes_with(self, other: "HeisenbergElement") -> bool:
-        return self * other == other * self
 
     def is_central(self) -> bool:
         return self.i % self.group.p == 0 and self.j % self.group.p == 0

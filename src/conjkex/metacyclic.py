@@ -19,20 +19,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from .arith import is_probable_prime
-from .errors import (
-    CapExceededError,
-    NoSolutionError,
-    ParamMismatchError,
-    ParseError,
-    TooLargeError,
-)
+from .core import ENUMERATION_CAP, Element, Group
+from .errors import CapExceededError, NoSolutionError, ParseError, TooLargeError
 
 _CANONICAL_RE = re.compile(
     r"^mc:p=(0|[1-9]\d*);m=(0|[1-9]\d*);n=(0|[1-9]\d*);"
     r"i=(0|[1-9]\d*);j=(0|[1-9]\d*)$"
 )
-
-ENUMERATION_CAP = 10 ** 6
 
 
 @lru_cache(maxsize=None)
@@ -41,10 +34,11 @@ def metacyclic_group(p: int, m: int, n: int) -> "MetacyclicGroup":
     return MetacyclicGroup(p, m, n)
 
 
-class MetacyclicGroup:
+class MetacyclicGroup(Group):
     """Parameters p, m, n plus the derived twist machinery."""
 
     kind = "metacyclic"
+    param_names = ("p", "m", "n")
 
     def __init__(self, p: int, m: int, n: int):
         if m < 2 or n < 1:
@@ -142,42 +136,26 @@ class MetacyclicGroup:
     def conjugacy_class(self, w: "MetaElement", cap: int | None = None) -> frozenset:
         """Full conjugacy class of w.
 
-        Elements of <a> get the closed-form twist orbit; anything else is
-        closed under conjugation by the generators, which only needs the
-        group to be enumerable.
+        Elements of <a> get the closed-form twist orbit: p elements, or
+        w alone when w is central.  Its size is checked against `cap`
+        before any element is built, so a cap refuses a large p at once.
+        Anything else is closed under conjugation by the generators,
+        which only needs the group to be enumerable.
         """
         self._own(w)
         if w.j == 0:
-            orbit = frozenset(
+            size = 1 if w.i % self.p == 0 else self.p
+            if cap is not None and size > cap:
+                raise CapExceededError(f"class size {size} exceeds cap {cap}")
+            return frozenset(
                 MetaElement(self, w.i * self.twist_pow(v) % self.pm, 0)
-                for v in range(self.p)
+                for v in range(size)
             )
-            if cap is not None and len(orbit) > cap:
-                raise CapExceededError(f"class size {len(orbit)} exceeds cap {cap}")
-            return orbit
         if self.order > ENUMERATION_CAP:
             raise TooLargeError(
                 "class enumeration outside <a> needs an enumerable group"
             )
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            g = frontier.pop()
-            for conj in (self._conj_by_a(g), self._conj_by_b(g)):
-                if conj not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise CapExceededError(f"class grew past cap {cap}")
-                    seen.add(conj)
-                    frontier.append(conj)
-        return frozenset(seen)
-
-    def _conj_by_a(self, g: "MetaElement") -> "MetaElement":
-        # a (a^i b^j) a^-1 = a^(i + 1 - twist^j) b^j
-        return MetaElement(self, g.i + 1 - self.twist_pow(g.j), g.j)
-
-    def _conj_by_b(self, g: "MetaElement") -> "MetaElement":
-        # b (a^i b^j) b^-1 = a^(i * twist) b^j
-        return MetaElement(self, g.i * self.twist % self.pm, g.j)
+        return super().conjugacy_class(w, cap)
 
     # Designated commuting subgroup for the key exchange: the cyclic <b>.
     def commuting_subgroup_order(self) -> int:
@@ -186,30 +164,11 @@ class MetacyclicGroup:
     def commuting_conjugator(self, s: int) -> "MetaElement":
         return self.b(s)
 
-    def wire_params(self) -> dict[str, str]:
-        return {"p": str(self.p), "m": str(self.m), "n": str(self.n)}
-
     def default_base(self) -> "MetaElement":
         return self.a(1)
 
-    def _own(self, g: "MetaElement") -> None:
-        if g.group is not self:
-            raise ParamMismatchError("element belongs to a different group")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MetacyclicGroup)
-            and (self.p, self.m, self.n) == (other.p, other.m, other.n)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.m, self.n))
-
-    def __repr__(self) -> str:
-        return f"MetacyclicGroup(p={self.p}, m={self.m}, n={self.n})"
-
-
-class MetaElement:
+class MetaElement(Element):
     """Normal form a^i b^j; immutable value object.
 
     Inputs are checked at the public boundary: this constructor reduces
@@ -226,15 +185,6 @@ class MetaElement:
         _set_i(self, i % group.pm)
         _set_j(self, j % group.pn)
 
-    def __setattr__(self, name, val):
-        raise AttributeError("MetaElement is immutable")
-
-    def _check(self, other: "MetaElement") -> None:
-        if not isinstance(other, MetaElement):
-            raise TypeError("expected a MetaElement")
-        if self.group is not other.group and self.group != other.group:
-            raise ParamMismatchError("elements built under different parameters")
-
     def __mul__(self, other: "MetaElement") -> "MetaElement":
         # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*twist^j1) b^(j1 + j2)
         G = self.group
@@ -248,18 +198,6 @@ class MetaElement:
         G = self.group
         return _make(G, -self.i * G.twist_pow_inv(self.j) % G.pm, -self.j % G.pn)
 
-    def __pow__(self, exp: int) -> "MetaElement":
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        out = self.group.identity()
-        sq = self
-        while exp:
-            if exp & 1:
-                out = out * sq
-            sq = sq * sq
-            exp >>= 1
-        return out
-
     def conjugate_by(self, x: "MetaElement") -> "MetaElement":
         """Conjugate of this element under x, computed as x * self * x^-1.
 
@@ -270,9 +208,6 @@ class MetaElement:
         """
         self._check(x)
         return x * self * x.inverse()
-
-    def commutes_with(self, other: "MetaElement") -> bool:
-        return self * other == other * self
 
     def is_central(self) -> bool:
         # Central iff both exponents are multiples of p, i.e. g in <a^p, b^p>.

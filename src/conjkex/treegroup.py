@@ -40,12 +40,12 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
+from .core import Element, Group
 from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
     LevelOutOfRangeError,
     NotAGroupError,
-    ParamMismatchError,
     ParseError,
 )
 
@@ -60,10 +60,11 @@ def tree_group(k: int) -> "TreeSylowGroup":
     return TreeSylowGroup(k)
 
 
-class TreeSylowGroup:
+class TreeSylowGroup(Group):
     """Depth parameter k plus enumeration and subgroup machinery."""
 
     kind = "tree"
+    param_names = ("k",)
 
     def __init__(self, k: int):
         if not 1 <= k <= MAX_DEPTH:
@@ -366,22 +367,6 @@ class TreeSylowGroup:
     def generator_elements(self) -> list["Portrait"]:
         return self.generators("S")
 
-    def conjugacy_class(self, w: "Portrait") -> frozenset:
-        """Class under the full S-Sylow, by closure under generator
-        conjugation."""
-        self._own(w)
-        pairs = [(x.inverse(), x) for x in self._s_generators]
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            g = frontier.pop()
-            for x_inv, x in pairs:
-                conj = x_inv * g * x
-                if conj not in seen:
-                    seen.add(conj)
-                    frontier.append(conj)
-        return frozenset(seen)
-
     def is_central(self, w: "Portrait") -> bool:
         """Center test in closed form: the center of the Sylow 2-subgroup
         has order 2 (Kaloujnine 1948), the identity and the portrait
@@ -389,28 +374,15 @@ class TreeSylowGroup:
         self._own(w)
         return w.packed == 0 or w.packed == self._bottom
 
-    def wire_params(self) -> dict[str, str]:
-        return {"k": str(self.k)}
-
     def default_base(self) -> "Portrait":
         # One bottom-level swap: moved around by level-(k-2) conjugators.
         return self.single(self.k - 1, 0)
 
-    def _own(self, g: "Portrait") -> None:
-        if g.group is not self:
-            raise ParamMismatchError("portrait belongs to a different group")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TreeSylowGroup) and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.k))
-
-    def __repr__(self) -> str:
-        return f"TreeSylowGroup(k={self.k})"
+    def _mismatch(self, other: "TreeSylowGroup") -> DepthMismatchError:
+        return DepthMismatchError(f"depth mismatch: {self.k} vs {other.k}")
 
 
-class Portrait:
+class Portrait(Element):
     """One swap/identity bit per internal vertex, packed level-order.
 
     Inputs are checked at the public boundary: this constructor rejects
@@ -430,9 +402,6 @@ class Portrait:
         _set_group(self, group)
         _set_packed(self, packed)
 
-    def __setattr__(self, name, val):
-        raise AttributeError("Portrait is immutable")
-
     def bit(self, level: int, pos: int) -> int:
         return (self.packed >> self.group._shift(level, pos)) & 1
 
@@ -447,14 +416,6 @@ class Portrait:
 
     def active_bits(self, level: int) -> int:
         return self._field(level).bit_count()
-
-    def _check(self, other: "Portrait") -> None:
-        if not isinstance(other, Portrait):
-            raise TypeError("expected a Portrait")
-        if self.group.k != other.group.k:
-            raise DepthMismatchError(
-                f"depth mismatch: {self.group.k} vs {other.group.k}"
-            )
 
     def __mul__(self, other: "Portrait") -> "Portrait":
         """Composite "self then other": leaf x maps to other(self(x)).
@@ -504,9 +465,6 @@ class Portrait:
         """x^-1 * self * x."""
         self._check(x)
         return x.inverse() * self * x
-
-    def commutes_with(self, other: "Portrait") -> bool:
-        return self * other == other * self
 
     def canonical(self) -> str:
         return f"tg:k={self.group.k};bits={self.packed:x}"

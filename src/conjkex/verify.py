@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
+from .core import conjugation_orbit, conjugation_pairs
 from .heisenberg import heisenberg_group
 from .metacyclic import metacyclic_group
 from .treegroup import tree_group
@@ -59,28 +60,9 @@ def default_param_grid(max_order: int = DEFAULT_MAX_ORDER) -> list[tuple[int, in
 
 # ------------------------------------------------- independent measurement
 
-def conjugation_pairs(conjugators) -> list:
-    """(x, x^-1) for each conjugator x, as `measured_class` uses them."""
-    return [(x, x.inverse()) for x in conjugators]
-
-
-def measured_class(group, w, pairs) -> frozenset:
-    """Conjugacy class as closure under conjugation by the generators,
-    using nothing but element products.
-
-    `pairs` is `conjugation_pairs(generators)`; a caller that closes many
-    classes builds it once per group.
-    """
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        g = frontier.pop()
-        for x, x_inv in pairs:
-            conj = x_inv * g * x
-            if conj not in seen:
-                seen.add(conj)
-                frontier.append(conj)
-    return frozenset(seen)
+# measured_class(w, conjugation_pairs(generators)) is w's conjugacy
+# class, closed under generator conjugation by element products alone.
+measured_class = conjugation_orbit
 
 
 def measured_center(group) -> set:
@@ -132,7 +114,7 @@ def class_size_claims(
         for g in group.elements():
             if placed[g.i * group.pn + g.j]:
                 continue
-            cls = measured_class(group, g, pairs)
+            cls = measured_class(g, pairs)
             for h in cls:
                 placed[h.i * group.pn + h.j] = 1
                 central = all(h * x == x * h for x in gens)
@@ -186,9 +168,7 @@ def heisenberg_orbit_claims(primes: Iterable[int] = DEFAULT_PRIMES) -> list[Clai
     for p in primes:
         started = time.perf_counter()
         group = heisenberg_group(p, 1, 1)
-        cls = measured_class(
-            group, group.a(), conjugation_pairs(group.generator_elements())
-        )
+        cls = measured_class(group.a(), conjugation_pairs(group.generator_elements()))
         expected_set = frozenset(group.element(1, 0, r) for r in range(p))
         measured = f"size:{len(cls)};sweep:{cls == expected_set}"
         results.append(

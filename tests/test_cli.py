@@ -33,6 +33,19 @@ def test_demo_metacyclic(capsys, tmp_path):
     assert len(lines) == 4  # header, params, two publics; no debug line
 
 
+@pytest.mark.parametrize("target", ["missing/t.ndjson", "."])
+def test_demo_unwritable_transcript_is_a_usage_error(capsys, tmp_path, target):
+    # A path under a directory that does not exist, and a directory.
+    code, out, err = run_cli(
+        capsys,
+        "demo", "--platform", "metacyclic", "-p", "1009", "-m", "2", "-n", "2",
+        "--seed-a", "1", "--seed-b", "2", "--transcript", str(tmp_path / target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_demo_rejects_composite_p(capsys):
     code, _, err = run_cli(
         capsys,

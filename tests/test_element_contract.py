@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjkex.errors import DepthMismatchError, ParamMismatchError
+from conjkex.errors import CapExceededError, DepthMismatchError, ParamMismatchError
 from conjkex.heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
@@ -195,3 +195,34 @@ def test_tree_results_match_public_constructor(data, k):
     assert (g * h).to_permutation() == compose_perms(pg, ph)
     assert compose_perms(g.inverse().to_permutation(), pg) == tuple(range(G.leaves))
     assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+
+
+# ------------------------------------------------------ the shared element base
+
+@pytest.mark.parametrize("g,h", [
+    (metacyclic_group(3, 2, 1).element(2, 1), metacyclic_group(3, 2, 1).a()),
+    (heisenberg_group(5, 1, 1).element(2, 3, 4), heisenberg_group(5, 1, 1).b()),
+    (tree_group(3).from_packed(0b1011001), tree_group(3).single(0, 0)),
+], ids=["metacyclic", "heisenberg", "tree"])
+def test_shared_base_powers_commutation_and_immutability(g, h):
+    G = g.group
+    power = G.identity()
+    for e in range(6):
+        assert g ** e == power
+        power = power * g
+    power = G.identity()
+    for e in range(1, 4):
+        power = power * g.inverse()
+        assert g ** -e == power
+    assert g.commutes_with(g ** 3) and g.commutes_with(G.identity())
+    assert not g.commutes_with(h) and g * h != h * g
+    with pytest.raises(AttributeError, match="is immutable"):
+        g.group = G
+    with pytest.raises(AttributeError):
+        g.unknown = 0
+    # A class built by the shared worklist stops at the cap.
+    if G.kind != "heisenberg":  # its class is closed form, without a cap
+        size = len(G.conjugacy_class(g))
+        assert size > 1 and len(G.conjugacy_class(g, cap=size)) == size
+        with pytest.raises(CapExceededError):
+            G.conjugacy_class(g, cap=size - 1)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conjkex.arith import Residue, bsgs_dlog
+from conjkex.arith import bsgs_dlog
 from conjkex.errors import CapExceededError, NoSolutionError, ParamMismatchError, ParseError
 from conjkex.metacyclic import MetacyclicGroup, metacyclic_group, parse_canonical
 
@@ -118,11 +118,10 @@ def test_twist_log_matches_bsgs(m):
     rng = random.Random(53 + m)
     for p in (3, 101, 10007, 999983):
         G = metacyclic_group(p, m, 1)
-        twist = Residue(G.twist, G.pm)
         members = [pow(G.twist, rng.randrange(p), G.pm) for _ in range(20)]
         for u in members + [rng.randrange(G.pm) for _ in range(5)]:
             try:
-                expected = bsgs_dlog(twist, Residue(u, G.pm), p)
+                expected = bsgs_dlog(G.twist, u, G.pm, p)
             except NoSolutionError:
                 with pytest.raises(NoSolutionError):
                     G.twist_log(u)
@@ -233,6 +232,11 @@ def test_class_cap():
     with pytest.raises(CapExceededError):
         G.conjugacy_class(G.element(1, 1), cap=2)
     assert len(G.conjugacy_class(G.a(1), cap=3)) == 3
+    # The closed-form orbit in <a> is refused before it is built.
+    G = metacyclic_group(2 ** 61 - 1, 2, 1)
+    with pytest.raises(CapExceededError):
+        G.conjugacy_class(G.a(1), cap=10)
+    assert G.conjugacy_class(G.a(G.p), cap=10) == frozenset({G.a(G.p)})
 
 
 def test_parameter_validation():

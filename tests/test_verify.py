@@ -47,7 +47,7 @@ def per_element_class_sizes(p, m, n):
     pairs = verify.conjugation_pairs(gens)
     sizes = {True: set(), False: set()}
     for g in group.elements():
-        cls = verify.measured_class(group, g, pairs)
+        cls = verify.measured_class(g, pairs)
         central = all(g * x == x * g for x in gens)
         sizes[central].add(len(cls))
     return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
@@ -59,9 +59,9 @@ def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes)
     calls = []
     real = verify.measured_class
 
-    def counting(group, w, pairs):
+    def counting(w, pairs):
         calls.append(w)
-        return real(group, w, pairs)
+        return real(w, pairs)
 
     monkeypatch.setattr(verify, "measured_class", counting)
     [result] = class_size_claims(grid=[params])
@@ -70,7 +70,7 @@ def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes)
     # ... and each call starts in a class of its own.
     group = metacyclic_group(*params)
     pairs = verify.conjugation_pairs(group.generator_elements())
-    assert len({real(group, w, pairs) for w in calls}) == classes
+    assert len({real(w, pairs) for w in calls}) == classes
 
 
 def test_class_size_values_match_per_element_loop():
