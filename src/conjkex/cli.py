@@ -14,10 +14,12 @@ malformed input, 3 key disagreement in demo.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from . import cryptanalysis, kex, verify
+from .core import PGroup
 from .errors import ConjKexError, TranscriptError
 from .treegroup import tree_group
 
@@ -75,9 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _platform_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--platform", required=True, choices=("metacyclic", "heisenberg", "tree")
-    )
+    sub.add_argument("--platform", required=True, choices=tuple(kex.PLATFORMS))
     sub.add_argument("-p", type=int, help="odd prime (metacyclic/heisenberg)")
     sub.add_argument("-m", type=int, help="a-exponent height")
     sub.add_argument("-n", type=int, help="b-exponent height")
@@ -85,13 +85,14 @@ def _platform_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _group_from_args(args) -> object:
-    if args.platform == "tree":
-        if args.k is None:
-            raise ValueError("tree platform needs -k")
-        return kex.group_for("tree", k=args.k)
-    if args.p is None or args.m is None or args.n is None:
-        raise ValueError(f"{args.platform} platform needs -p, -m and -n")
-    return kex.group_for(args.platform, p=args.p, m=args.m, n=args.n)
+    factory = kex.PLATFORMS[args.platform]
+    names = inspect.signature(factory).parameters
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = [f"-{name}" for name in names]
+        needed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
+        raise ValueError(f"{args.platform} platform needs {needed}")
+    return factory(*values)
 
 
 def _cmd_demo(args) -> int:
@@ -217,7 +218,7 @@ def _cmd_stats(args) -> int:
             "platform": args.platform,
             "class_sizes": {str(size): count for size, count in sorted(histogram.items())},
         }
-        if args.platform in ("metacyclic", "heisenberg"):
+        if isinstance(group, PGroup):
             base = group.default_base()
             orbit = len(group.conjugacy_class(base))
             stats["center_order"] = str(group.center_order())

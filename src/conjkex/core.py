@@ -10,6 +10,10 @@ closure under generator conjugation.  The element classes derive from
 commutation.  Each platform writes its own `__mul__`, `inverse` and
 `conjugate_by`: they are the hot paths.
 
+The two p-group platforms share more: `PGroup` and `PElement` hold
+their parameters, normal form, enumeration, centre and key-exchange
+roles, and `canonical_parser` builds their strict parsers.
+
 Conjugation convention: `w.conjugate_by(x)` is x^-1 * w * x on the
 heisenberg and tree platforms, and x * w * x^-1 on the metacyclic one,
 where it follows the presentation's b a b^-1 = a^twist (every pinned
@@ -19,7 +23,18 @@ under either convention.
 
 from __future__ import annotations
 
-from .errors import CapExceededError, ConjKexError, ParamMismatchError
+import re
+from itertools import product, starmap
+from math import prod
+
+from .arith import is_probable_prime
+from .errors import (
+    CapExceededError,
+    ConjKexError,
+    ParamMismatchError,
+    ParseError,
+    TooLargeError,
+)
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -129,3 +144,138 @@ class Element:
 
     def commutes_with(self, other) -> bool:
         return self * other == other * self
+
+
+class PGroup(Group):
+    """Base of the two minimal non-abelian p-group platforms.
+
+    Both are Miller-Moreno groups with parameters p, m, n: p an odd
+    prime, a of order p^m and b of order p^n.  An element is its tuple
+    of reduced exponents in a normal form that starts a^i b^j; only the
+    multiplication law differs.  <b> is the key exchange's commuting
+    subgroup, a the default base, and an element is central exactly
+    when p divides both i and j.
+
+    A subclass sets `kind`, `prefix` (of its canonical strings),
+    `min_m`, `exponent_names`, its `element_class` and that class's
+    `_make` (see `PElement`), which defaults the exponents after j to 0.
+    """
+
+    param_names = ("p", "m", "n")
+    prefix: str
+    min_m: int
+    exponent_names: tuple[str, ...]
+
+    def __init__(self, p: int, m: int, n: int):
+        if m < self.min_m or n < 1:
+            raise ValueError(f"presentation requires m >= {self.min_m} and n >= 1")
+        if p < 3 or not is_probable_prime(p):
+            raise ValueError("p must be an odd prime")
+        self.p = p
+        self.m = m
+        self.n = n
+        self.pm = p ** m
+        self.pn = p ** n
+        # i mod p^m, j mod p^n, and an exponent after j (of a central c) mod p.
+        self.moduli = (self.pm, self.pn, p)[: len(self.exponent_names)]
+        self.order = prod(self.moduli)
+        self.tag = f"{self.prefix}:p={p};m={m};n={n}"
+
+    def element(self, *exponents):
+        return self.element_class(self, *exponents)
+
+    def identity(self):
+        return self._make(self, 0, 0)
+
+    def a(self, i: int = 1):
+        return self._make(self, i % self.pm, 0)
+
+    def b(self, j: int = 1):
+        return self._make(self, 0, j % self.pn)
+
+    def elements(self):
+        if self.order > ENUMERATION_CAP:
+            raise TooLargeError(f"|G| = {self.order} is beyond enumeration")
+        return starmap(self._make, product((self,), *map(range, self.moduli)))
+
+    def center_order(self) -> int:
+        return self.order // self.p ** 2
+
+    def center_elements(self) -> list:
+        """The centre, enumerated directly: <a^p, b^p>, times any c."""
+        if self.center_order() > ENUMERATION_CAP:
+            raise TooLargeError("center too large to enumerate")
+        p = self.p
+        ranges = (range(0, self.pm, p), range(0, self.pn, p), *map(range, self.moduli[2:]))
+        return list(starmap(self._make, product((self,), *ranges)))
+
+    # Designated commuting subgroup for the key exchange: the cyclic <b>.
+    def commuting_subgroup_order(self) -> int:
+        return self.pn
+
+    def commuting_conjugator(self, s: int):
+        return self.b(s)
+
+    def default_base(self):
+        return self.a(1)
+
+
+class PElement(Element):
+    """Base of the p-group elements, whose `__slots__` are "group" and
+    then the group's `exponent_names`.
+
+    Inputs are checked at the public boundary: an element class's
+    constructor reduces any int exponents mod the group's `moduli`.
+    Products, inverses, conjugates and the group's enumerations build
+    their results with the private `_make`, which stores exponents that
+    are in range by construction (each is reduced where it is computed)
+    and skips `__init__`.
+    """
+
+    __slots__ = ()
+
+    def is_central(self) -> bool:
+        p = self.group.p
+        return self.i % p == 0 and self.j % p == 0
+
+    def is_identity(self) -> bool:
+        return self == self.group.identity()
+
+    def in_a_subgroup(self) -> bool:
+        return self == self.group.a(self.i)
+
+    def __repr__(self) -> str:
+        G = self.group
+        powers = " ".join(
+            f"{x}^{getattr(self, name)}" for x, name in zip("abc", G.exponent_names)
+        )
+        return f"<{powers} | p={G.p},m={G.m},n={G.n}>"
+
+
+def canonical_parser(group_class, factory):
+    """The strict parser of `group_class`'s canonical strings, such as
+    "mc:p=3;m=2;n=2;i=1;j=0": the whole string, minimal decimal fields,
+    exponents below their moduli.  Groups come from the interned
+    `factory`, so parsed elements share its group objects."""
+    fields = (*group_class.param_names, *group_class.exponent_names)
+    grammar = re.compile(
+        group_class.prefix + ":" + ";".join(rf"{name}=(0|[1-9]\d*)" for name in fields)
+    )
+    refusal = f"not a canonical {group_class.kind} element"
+
+    def parse_canonical(text: str):
+        match = grammar.fullmatch(text)
+        if not match:
+            raise ParseError(f"{refusal}: {text!r}")
+        p, m, n, *exponents = map(int, match.groups())
+        try:
+            group = factory(p, m, n)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        for exponent, modulus in zip(exponents, group.moduli):
+            if exponent >= modulus:
+                raise ParseError("exponents exceed their moduli; form is not canonical")
+        return group._make(group, *exponents)
+
+    parse_canonical.__doc__ = f"Strict parser for the {group_class.prefix}: canonical form."
+    return parse_canonical

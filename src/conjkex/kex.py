@@ -32,7 +32,13 @@ from .errors import (
 )
 from .rng import ALGORITHM_ID, SplitMix64
 
-PLATFORMS = ("metacyclic", "heisenberg", "tree")
+# Each platform's interned group factory, whose parameters are the
+# group's `param_names`.
+PLATFORMS = {
+    "metacyclic": metacyclic.metacyclic_group,
+    "heisenberg": heisenberg.heisenberg_group,
+    "tree": treegroup.tree_group,
+}
 
 _PARSERS = {
     "mc": metacyclic.parse_canonical,
@@ -50,27 +56,12 @@ def parse_element(text: str):
     return parser(text)
 
 
-def group_for(platform: str, **params):
-    if platform == "metacyclic":
-        return metacyclic.metacyclic_group(params["p"], params["m"], params["n"])
-    if platform == "heisenberg":
-        return heisenberg.heisenberg_group(params["p"], params["m"], params["n"])
-    if platform == "tree":
-        return treegroup.tree_group(params["k"])
-    raise ValueError(f"unknown platform {platform!r}")
-
-
-def validate_base(w, strict: bool = True) -> bool:
-    """A usable base is non-central; the strict profile additionally
-    requires metacyclic/heisenberg bases to be non-identity a-powers."""
-    group = w.group
-    if group.kind == "tree":
-        return not group.is_central(w)
-    if w.is_central():
-        return False
-    if strict and not w.in_a_subgroup():
-        return False
-    return not w.is_identity()
+def validate_base(w) -> bool:
+    """A usable base is non-central; on the p-group platforms it must
+    also be a power of a."""
+    if w.group.kind == "tree":
+        return not w.group.is_central(w)
+    return not w.is_central() and w.in_a_subgroup()
 
 
 def sample_private(group, rng: SplitMix64):

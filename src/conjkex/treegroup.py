@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
 )
 
-_CANONICAL_RE = re.compile(r"^tg:k=(0|[1-9]\d*);bits=(0|[1-9a-f][0-9a-f]*)$")
+_CANONICAL_RE = re.compile(r"tg:k=(0|[1-9]\d*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_ENUM_DEPTH = 4    # exhaustive enumeration / closure work
@@ -531,7 +531,7 @@ def commutator(x: Portrait, y: Portrait) -> Portrait:
 
 def parse_canonical(text: str) -> Portrait:
     """Strict parser for the tg: canonical form (minimal lowercase hex)."""
-    match = _CANONICAL_RE.match(text)
+    match = _CANONICAL_RE.fullmatch(text)
     if not match:
         raise ParseError(f"not a canonical tree element: {text!r}")
     k = int(match.group(1))

@@ -57,11 +57,19 @@ def test_demo_rejects_composite_p(capsys):
 
 
 def test_demo_missing_params(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys,
         "demo", "--platform", "tree", "--seed-a", "1", "--seed-b", "2",
     )
     assert code == 2
+    assert err == "error: tree platform needs -k\n"
+    code, _, err = run_cli(
+        capsys,
+        "demo", "--platform", "heisenberg", "-p", "3", "-n", "1",
+        "--seed-a", "1", "--seed-b", "2",
+    )
+    assert code == 2
+    assert err == "error: heisenberg platform needs -p, -m and -n\n"
 
 
 def test_demo_tree(capsys):

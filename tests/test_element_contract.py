@@ -220,9 +220,17 @@ def test_shared_base_powers_commutation_and_immutability(g, h):
         g.group = G
     with pytest.raises(AttributeError):
         g.unknown = 0
-    # A class built by the shared worklist stops at the cap.
-    if G.kind != "heisenberg":  # its class is closed form, without a cap
-        size = len(G.conjugacy_class(g))
-        assert size > 1 and len(G.conjugacy_class(g, cap=size)) == size
-        with pytest.raises(CapExceededError):
-            G.conjugacy_class(g, cap=size - 1)
+    # Every platform's class honours the cap.
+    size = len(G.conjugacy_class(g))
+    assert size > 1 and len(G.conjugacy_class(g, cap=size)) == size
+    with pytest.raises(CapExceededError):
+        G.conjugacy_class(g, cap=size - 1)
+
+
+@pytest.mark.parametrize("g,text", [
+    (metacyclic_group(3, 2, 2).element(4, 5), "<a^4 b^5 | p=3,m=2,n=2>"),
+    (heisenberg_group(5, 2, 1).element(7, 3, 2), "<a^7 b^3 c^2 | p=5,m=2,n=1>"),
+    (tree_group(3).from_packed(0x40), "Portrait(k=3, bits=0x40)"),
+], ids=["metacyclic", "heisenberg", "tree"])
+def test_element_repr(g, text):
+    assert repr(g) == text

@@ -91,6 +91,23 @@ def test_associativity_exhaustive(p, m, n):
         assert (g * h) * k == g * (h * k)
 
 
+@pytest.mark.parametrize("p,m,n", SMALL_GROUPS)
+def test_enumeration_order(p, m, n):
+    G = heisenberg_group(p, m, n)
+    assert list(G.elements()) == [
+        G.element(i, j, k)
+        for i in range(p ** m)
+        for j in range(p ** n)
+        for k in range(p)
+    ]
+    assert G.center_elements() == [
+        G.element(p * x, p * y, k)
+        for x in range(p ** (m - 1))
+        for y in range(p ** (n - 1))
+        for k in range(p)
+    ]
+
+
 def test_associativity_random():
     G = heisenberg_group(1009, 2, 2)
     rng = random.Random(13)
@@ -174,11 +191,13 @@ def test_power():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
         HeisenbergGroup(4, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^presentation requires m >= 1 and n >= 1$"):
         HeisenbergGroup(3, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^presentation requires m >= 1 and n >= 1$"):
+        HeisenbergGroup(3, 1, 0)
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
         HeisenbergGroup(2, 1, 1)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from conjkex.errors import (
 )
 from conjkex.heisenberg import heisenberg_group
 from conjkex.kex import (
+    PLATFORMS,
     Session,
     Transcript,
     parse_element,
@@ -69,14 +71,39 @@ def test_validate_base():
     assert validate_base(metacyclic_group(3, 2, 1).a(1))
     assert not validate_base(MC.identity())
     assert not validate_base(MC.a(3))  # central
-    assert not validate_base(MC.b(1))  # strict profile wants <a>
-    assert validate_base(MC.b(1), strict=False)
+    assert not validate_base(MC.b(1))  # a base must lie in <a>
     H = heisenberg_group(3, 1, 1)
     assert validate_base(H.a())
     assert not validate_base(H.c())
     T = tree_group(3)
     assert validate_base(T.default_base())
     assert not validate_base(T.identity())
+
+
+@pytest.mark.parametrize("group,central", [
+    (metacyclic_group(5, 2, 2), metacyclic_group(5, 2, 2).element(5, 10)),
+    (heisenberg_group(5, 2, 1), heisenberg_group(5, 2, 1).element(5, 0, 3)),
+    (tree_group(4), tree_group(4).from_packed(tree_group(4)._bottom)),
+], ids=["metacyclic", "heisenberg", "tree"])
+def test_validate_base_per_platform(group, central):
+    assert central != group.identity() and central.commutes_with(group.default_base())
+    assert not validate_base(group.identity())
+    assert not validate_base(central)
+    assert validate_base(group.default_base())
+    if group.kind != "tree":
+        # Non-central, but outside <a>: b and a*b.
+        assert not validate_base(group.b())
+        assert not validate_base(group.a() * group.b())
+
+
+@pytest.mark.parametrize(
+    "group", [MC, heisenberg_group(3, 1, 1), tree_group(3)], ids=lambda g: g.kind
+)
+def test_platform_table_factories(group):
+    # The CLI asks for one flag per factory parameter.
+    factory = PLATFORMS[group.kind]
+    assert tuple(inspect.signature(factory).parameters) == group.param_names
+    assert factory(*(getattr(group, name) for name in group.param_names)) is group
 
 
 def test_session_state_and_mismatch_errors():

@@ -197,6 +197,19 @@ def test_class_sizes_and_center(p, m, n):
     assert central == G.center_order()
 
 
+@pytest.mark.parametrize("p,m,n", SMALL_GROUPS)
+def test_enumeration_order(p, m, n):
+    G = metacyclic_group(p, m, n)
+    assert list(G.elements()) == [
+        G.element(i, j) for i in range(p ** m) for j in range(p ** n)
+    ]
+    assert G.center_elements() == [
+        G.element(p * x, p * y)
+        for x in range(p ** (m - 1))
+        for y in range(p ** (n - 1))
+    ]
+
+
 def test_center_set_equals_generated_subgroup():
     for p, m, n in SMALL_GROUPS:
         G = metacyclic_group(p, m, n)
@@ -232,21 +245,23 @@ def test_class_cap():
     with pytest.raises(CapExceededError):
         G.conjugacy_class(G.element(1, 1), cap=2)
     assert len(G.conjugacy_class(G.a(1), cap=3)) == 3
-    # The closed-form orbit in <a> is refused before it is built.
+    # At a large p the worklist stops at the cap; it never enumerates G.
     G = metacyclic_group(2 ** 61 - 1, 2, 1)
     with pytest.raises(CapExceededError):
         G.conjugacy_class(G.a(1), cap=10)
+    with pytest.raises(CapExceededError):
+        G.conjugacy_class(G.element(1, 1), cap=10)
     assert G.conjugacy_class(G.a(G.p), cap=10) == frozenset({G.a(G.p)})
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
         MetacyclicGroup(4, 2, 1)  # composite
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^presentation requires m >= 2 and n >= 1$"):
         MetacyclicGroup(3, 1, 1)  # m < 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^presentation requires m >= 2 and n >= 1$"):
         MetacyclicGroup(3, 2, 0)  # n < 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
         MetacyclicGroup(2, 2, 1)  # p must be odd
 
 

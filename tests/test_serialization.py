@@ -80,6 +80,9 @@ def test_ascii_only_and_no_whitespace():
         "tg:k=3",
         "mc:",
         "i=1;j=0",
+        "mc:p=3;m=2;n=2;i=1;j=0\n",
+        "mm:p=3;m=1;n=1;i=1;j=0;k=0\n",
+        "tg:k=3;bits=40\n",
     ],
 )
 def test_strict_grammar_rejections(bad):
