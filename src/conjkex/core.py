@@ -259,7 +259,7 @@ def canonical_parser(group_class, factory):
     `factory`, so parsed elements share its group objects."""
     fields = (*group_class.param_names, *group_class.exponent_names)
     grammar = re.compile(
-        group_class.prefix + ":" + ";".join(rf"{name}=(0|[1-9]\d*)" for name in fields)
+        group_class.prefix + ":" + ";".join(rf"{name}=(0|[1-9][0-9]*)" for name in fields)
     )
     refusal = f"not a canonical {group_class.kind} element"
 

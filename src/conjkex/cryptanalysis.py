@@ -105,9 +105,10 @@ def class_size_histogram(elements, class_of) -> dict[int, int]:
 def orbit_stats(group, cap: int = 10 ** 5) -> dict[int, int]:
     """Class-size histogram over the whole platform group."""
     if group.kind == "tree":
-        order = group.order("S")
-        if order > cap:
-            raise TooLargeError(f"|G| = {order} exceeds cap {cap}")
+        if group.order("S") > cap:
+            # As 2^N: from k = 14 the order's decimal digits pass the
+            # 4300 that `str` converts.
+            raise TooLargeError(f"|G| = 2^{group.bit_count} exceeds cap {cap}")
         elements = list(group.all_elements())
     else:
         if group.order > cap:

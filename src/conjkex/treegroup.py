@@ -31,6 +31,25 @@ a single-vertex generator) costs O(k) operations or fewer.
 g^-1 has level l = g_l permuted by the inverse of g's action:
 the same swaps, deepest first.  `Portrait.apply` walks one leaf path bit
 by bit and stays the independent oracle for both.
+
+Conjugation takes two swap passes where x^-1 * w * x takes three.  Write
+P_g(h) for h permuted by g's action (the shallowest-first swaps with g's
+masks) and Q_g(h) for h permuted by its inverse (the same masks, deepest
+first).  Then g*h = g XOR P_g(h) and g^-1 = Q_g(g); Q_x is a bit
+permutation, so it distributes over XOR, and
+
+    x^-1 * w * x = Q_x(x XOR w XOR P_w(x)).
+
+That is w's and x's masks and one pass with each, against the masks of
+x, x^-1 and x^-1*w by the product route.  `commutator` and the closure
+helpers keep to products, an oracle independent of this identity.
+
+A portrait builds its masks on the first product, inverse or
+conjugation that needs them and keeps them, so a key used in several
+steps of a session spreads them once.  That is at most k-1 ints of
+under 2^k bits per portrait (masks[j] ends below bit 2^k - 3*2^j), so a
+dense portrait keeps about k-1 times its own size; one labelled only on
+the bottom level keeps nothing, as it shares its group's all-zero tuple.
 """
 
 from __future__ import annotations
@@ -49,7 +68,7 @@ from .errors import (
     ParseError,
 )
 
-_CANONICAL_RE = re.compile(r"tg:k=(0|[1-9]\d*);bits=(0|[1-9a-f][0-9a-f]*)")
+_CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_ENUM_DEPTH = 4    # exhaustive enumeration / closure work
@@ -122,7 +141,7 @@ class TreeSylowGroup(Group):
         # Vertex pos sits at the field's high end when pos is 0.
         return self._offset(level) + (1 << level) - 1 - pos
 
-    def _swap_masks(self, packed: int) -> Sequence[int]:
+    def _swap_masks(self, packed: int) -> tuple[int, ...]:
         """Delta-swap masks of the portrait `packed`, indexed by j.
 
         masks[j] selects the lower half of every 2^(j+1)-bit block on
@@ -173,7 +192,7 @@ class TreeSylowGroup(Group):
                 low <<= 2 * z
             masks.append(low)
             widened = low | (low << (1 << j))
-        return masks
+        return tuple(masks)
 
     # -------------------------------------------------------- enumeration
 
@@ -394,13 +413,14 @@ class Portrait(Element):
     permuted within each level).
     """
 
-    __slots__ = ("group", "packed")
+    __slots__ = ("group", "packed", "_masks")
 
     def __init__(self, group: TreeSylowGroup, packed: int):
         if packed >> group.bit_count:
             raise ValueError("packed value has more bits than the tree has vertices")
         _set_group(self, group)
         _set_packed(self, packed)
+        _set_masks(self, None)
 
     def bit(self, level: int, pos: int) -> int:
         return (self.packed >> self.group._shift(level, pos)) & 1
@@ -426,15 +446,21 @@ class Portrait(Element):
         G = self.group
         if other.__class__ is not Portrait or other.group is not G:
             self._check(other)
-        masks = G._swap_masks(self.packed)
-        permuted = _swap_halves(other.packed, masks, G._mul_order)
+        permuted = _swap_halves(other.packed, self._swap_masks(), G._mul_order)
         return _make(G, self.packed ^ permuted)
 
     def inverse(self) -> "Portrait":
         # Each level of self, permuted by the inverse of self's action.
         G = self.group
-        masks = G._swap_masks(self.packed)
-        return _make(G, _swap_halves(self.packed, masks, G._inv_order))
+        return _make(G, _swap_halves(self.packed, self._swap_masks(), G._inv_order))
+
+    def _swap_masks(self) -> tuple[int, ...]:
+        """This portrait's delta-swap masks, built on first use and kept."""
+        masks = self._masks
+        if masks is None:
+            masks = self.group._swap_masks(self.packed)
+            _set_masks(self, masks)
+        return masks
 
     def apply(self, leaf: int) -> int:
         """Image of a leaf in [0, 2^k); the path bits are flipped by the
@@ -462,9 +488,12 @@ class Portrait(Element):
         return self.packed == 0
 
     def conjugate_by(self, x: "Portrait") -> "Portrait":
-        """x^-1 * self * x."""
-        self._check(x)
-        return x.inverse() * self * x
+        """x^-1 * self * x, in two delta-swap passes (module docstring)."""
+        G = self.group
+        if x.__class__ is not Portrait or x.group is not G:
+            self._check(x)
+        wx = self.packed ^ _swap_halves(x.packed, self._swap_masks(), G._mul_order)
+        return _make(G, _swap_halves(x.packed ^ wx, x._swap_masks(), G._inv_order))
 
     def canonical(self) -> str:
         return f"tg:k={self.group.k};bits={self.packed:x}"
@@ -486,6 +515,7 @@ class Portrait(Element):
 _new = object.__new__
 _set_group = Portrait.group.__set__
 _set_packed = Portrait.packed.__set__
+_set_masks = Portrait._masks.__set__
 
 
 def _make(group: TreeSylowGroup, packed: int) -> Portrait:
@@ -493,6 +523,7 @@ def _make(group: TreeSylowGroup, packed: int) -> Portrait:
     g = _new(Portrait)
     _set_group(g, group)
     _set_packed(g, packed)
+    _set_masks(g, None)
     return g
 
 

@@ -378,6 +378,36 @@ def test_tree_command_rejects_bad_depth(capsys):
     assert code == 2
 
 
+def from_decimal(text):
+    """int(text), read in chunks below Python's 4300-digit limit on
+    converting a decimal string to an int."""
+    value = 0
+    for start in range(0, len(text), 4000):
+        chunk = text[start:start + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize("k", [13, 14, 20])
+def test_tree_command_prints_exact_orders_past_the_digit_limit(capsys, k):
+    # From k = 14, |S| = 2^(2^k - 1) has more than 4300 decimal digits.
+    code, out, err = run_cli(capsys, "tree", "-k", str(k))
+    assert (code, err) == (0, "")
+    facts = json.loads(out)
+    texts = [facts["s_order"], facts["a_order"], *facts["level_subgroup_orders"]]
+    exponents = [(1 << k) - 1, (1 << k) - 2, *(1 << level for level in range(k))]
+    assert [from_decimal(text) for text in texts] == [1 << e for e in exponents]
+    # int() also reads spaces, underscores and non-ASCII digits.
+    assert all(text.isascii() and text.isdigit() for text in texts)
+
+
+@pytest.mark.parametrize("k, exponent", [(5, 31), (14, 16383), (20, 1048575)])
+def test_stats_tree_cap_names_the_order_as_a_power(capsys, k, exponent):
+    code, out, err = run_cli(capsys, "stats", "--platform", "tree", "-k", str(k))
+    assert (code, out) == (2, "")
+    assert err == f"error: |G| = 2^{exponent} exceeds cap 100000\n"
+
+
 def test_stats_metacyclic(capsys):
     code, out, _ = run_cli(
         capsys, "stats", "--platform", "metacyclic", "-p", "3", "-m", "2", "-n", "1"

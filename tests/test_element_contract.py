@@ -191,7 +191,7 @@ def test_tree_results_match_public_constructor(data, k):
         want = Portrait(G, got.packed)  # raises if out of range
         assert got == want and hash(got) == hash(want)
         assert got.group is G
-        assert_immutable(got, "group", "packed")
+        assert_immutable(got, "group", "packed", "_masks")
     assert (g * h).to_permutation() == compose_perms(pg, ph)
     assert compose_perms(g.inverse().to_permutation(), pg) == tuple(range(G.leaves))
     assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()

@@ -83,6 +83,10 @@ def test_ascii_only_and_no_whitespace():
         "mc:p=3;m=2;n=2;i=1;j=0\n",
         "mm:p=3;m=1;n=1;i=1;j=0;k=0\n",
         "tg:k=3;bits=40\n",
+        # Non-ASCII decimal digits (Arabic-Indic three and zero).
+        "mc:p=1\u0663;m=2;n=2;i=1;j=0",
+        "mm:p=1\u0663;m=1;n=1;i=1;j=0;k=0",
+        "tg:k=1\u0660;bits=40",
     ],
 )
 def test_strict_grammar_rejections(bad):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from conjkex.kex import validate_base
 from conjkex.treegroup import (
     MAX_DEPTH,
     Portrait,
+    TreeSylowGroup,
     _reverse,
     commutator,
     parse_canonical,
@@ -600,6 +601,100 @@ def test_max_depth_arithmetic():
     # one leaf path through the per-vertex oracle
     leaf = rng.randrange(G.leaves)
     assert gh.apply(leaf) == h.apply(g.apply(leaf))
+
+
+# ------------------------------------------------- the conjugation kernel
+
+def conjugate_via_products(w, x):
+    """x^-1 * w * x by products, on fresh copies: the route that
+    `conjugate_by`'s two-pass kernel replaces, kept apart from the
+    masks that w and x have cached."""
+    G = w.group
+    x = G.from_packed(x.packed)
+    return x.inverse() * G.from_packed(w.packed) * x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conjugate_by_matches_products_on_all_pairs(k):
+    G = tree_group(k)
+    elements = list(G.all_elements())
+    for w, x in product(elements, repeat=2):
+        assert w.conjugate_by(x) == conjugate_via_products(w, x)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_DEPTH + 1))
+def test_conjugate_by_matches_products_on_dense_pairs(k):
+    G = tree_group(k)
+    rng = random.Random(700 + k)
+    for _ in range(4 if k < 16 else 1):
+        w, x = random_portrait(G, rng), random_portrait(G, rng)
+        assert w.conjugate_by(x) == conjugate_via_products(w, x)
+
+
+def sparse_shapes(G):
+    """Each single-vertex generator, a level-(k-2) key and the bottom-swap
+    base: the left factors whose masks are empty or short."""
+    shapes = list(G.generators("S"))
+    if G.k >= 2:
+        key = G.commuting_conjugator(random.Random(G.k).randrange(G.commuting_subgroup_order()))
+        shapes.append(key)
+    shapes.append(G.default_base())
+    return shapes
+
+
+@pytest.mark.parametrize("k", [*range(1, 15), 16, 18, MAX_DEPTH])
+def test_conjugate_by_matches_products_on_sparse_shapes(k):
+    G = tree_group(k)
+    rng = random.Random(800 + k)
+    shapes = sparse_shapes(G)
+    # Every pair of shapes up to k = 14; deeper, each shape meets the
+    # protocol's two (key and base), where a pair costs milliseconds.
+    partners = [random_portrait(G, rng), *(shapes if k <= 14 else shapes[-2:])]
+    for shape, other in product(shapes, partners):
+        for w, x in [(shape, other), (other, shape)]:
+            assert w.conjugate_by(x) == conjugate_via_products(w, x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 11])
+def test_mask_cache_gives_the_results_of_a_fresh_copy(k):
+    # One portrait object as left factor, right factor, inverse,
+    # conjugator and conjugated, in every order: each result equals the
+    # one a fresh copy (no cached masks) gives.
+    G = tree_group(k)
+    rng = random.Random(900 + k)
+    y = random_portrait(G, rng)
+    uses = {
+        "left": lambda x: x * y,
+        "right": lambda x: y * x,
+        "inverse": lambda x: x.inverse(),
+        "conjugator": lambda x: y.conjugate_by(x),
+        "conjugated": lambda x: x.conjugate_by(y),
+    }
+    for shape in [random_portrait(G, rng), *sparse_shapes(G)]:
+        want = {name: use(G.from_packed(shape.packed)) for name, use in uses.items()}
+        for order in permutations(uses):
+            x = G.from_packed(shape.packed)
+            assert x._masks is None  # built on first use, not by the constructor
+            for name in order:
+                assert uses[name](x) == want[name], (shape, order, name)
+            assert x._masks == G._swap_masks(x.packed)
+            assert type(x._masks) is tuple
+    # The memory bound the module docstring states.
+    dense = G._swap_masks((1 << G.bit_count) - 1)
+    assert [mask.bit_length() for mask in dense] == [(1 << k) - 3 * (1 << j) for j in range(k - 1)]
+    # The operand checks still hold once the masks are cached.
+    x.conjugate_by(y)
+    other_k = k % MAX_DEPTH + 1
+    for other in [tree_group(other_k).identity(), TreeSylowGroup(other_k).identity()]:
+        with pytest.raises(DepthMismatchError, match="depth mismatch"):
+            x.conjugate_by(other)
+        with pytest.raises(DepthMismatchError, match="depth mismatch"):
+            other.conjugate_by(x)
+    for other in [3, None, x.packed]:
+        with pytest.raises(TypeError, match="expected a Portrait"):
+            x.conjugate_by(other)
+    # An equal group held in another object passes them.
+    assert x.conjugate_by(TreeSylowGroup(k).from_packed(y.packed)) == x.conjugate_by(y)
 
 
 def test_canonical_roundtrip():
