@@ -23,8 +23,16 @@ for k in (2, 3, 4):
     rank = group.minimal_generating_size(derived)
     print(
         f"{k:>2} {group.order('S'):>10} {group.order('A'):>10} "
-        f"{len(derived):>10} {rank:>11}"
+        f"{derived.order:>10} {rank:>11}"
     )
+
+print("\npast enumeration, the subgroup engine (an echelon basis of G') gives")
+print("log2|derived| = 2^k-k-2 and d(derived) = 2k-3")
+for k in (5, 6, 7):
+    group = tree_group(k)
+    derived = group.derived_subgroup(group.generators("A"))
+    rank = group.minimal_generating_size(derived)
+    print(f"  k={k}: log2|derived| = {derived.order.bit_length() - 1}, d(derived) = {rank}")
 
 print("\nlevel subgroups (all bits on one level) commute elementwise and")
 print("square in size with each level: the commuting families the protocol")

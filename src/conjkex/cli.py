@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="theorems|center|orbit|sylow|growth|all",
     )
     ver.add_argument("--max-order", type=int, default=verify.DEFAULT_MAX_ORDER)
-    ver.add_argument("--long", action="store_true", help="include the k=4 closures")
+    ver.add_argument("--long", action="store_true", help="include the k=4 sylow and growth claims")
 
     attack = sub.add_parser("attack", help="break a metacyclic demo transcript")
     attack.add_argument("--transcript", required=True)
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tree = sub.add_parser("tree", help="Sylow 2-subgroup facts for one depth")
     tree.add_argument("-k", type=int, required=True)
-    tree.add_argument("--long", action="store_true")
+    tree.add_argument("--long", action="store_true", help="also G' and its rank")
 
     stats = sub.add_parser("stats", help="orbit and key-space statistics")
     _platform_flags(stats)
@@ -212,7 +212,7 @@ def _cmd_tree(args) -> int:
         }
         if args.k <= 3 or args.long:
             derived = group.derived_subgroup(group.generators("A"))
-            facts["derived_order"] = str(len(derived))
+            facts["derived_order"] = _decimal(derived.order)
             facts["derived_min_generators"] = str(
                 group.minimal_generating_size(derived)
             )

@@ -104,14 +104,15 @@ def class_size_histogram(elements, class_of) -> dict[int, int]:
 
 def orbit_stats(group, cap: int = 10 ** 5) -> dict[int, int]:
     """Class-size histogram over the whole platform group."""
+    # The order is named as a power: past 4300 decimal digits, which a
+    # tree from k = 14 and a p-group of large m + n reach, `str` refuses it.
     if group.kind == "tree":
         if group.order("S") > cap:
-            # As 2^N: from k = 14 the order's decimal digits pass the
-            # 4300 that `str` converts.
             raise TooLargeError(f"|G| = 2^{group.bit_count} exceeds cap {cap}")
         elements = list(group.all_elements())
     else:
         if group.order > cap:
-            raise TooLargeError(f"|G| = {group.order} exceeds cap {cap}")
+            exponent = group.m + group.n + len(group.moduli) - 2  # c adds one
+            raise TooLargeError(f"|G| = {group.p}^{exponent} exceeds cap {cap}")
         elements = list(group.elements())
     return class_size_histogram(elements, group.conjugacy_class)

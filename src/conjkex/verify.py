@@ -1,10 +1,10 @@
 """Runnable checks for every quantitative structural claim.
 
-Each check measures a value by enumeration or closure (never by the
-closed forms under test), places it beside the predicted value, and
-reports pass/fail.  The measurement routes deliberately use only element
-multiplication and inversion, which the test suite pins against
-independent rewriting/permutation oracles.
+Each check measures a value by enumeration, orbits or the subgroup
+engine (never by the closed forms under test), places it beside the
+predicted value, and reports pass/fail.  The measurement routes
+deliberately use only element multiplication and inversion, which the
+test suite pins against independent rewriting/permutation oracles.
 """
 
 from __future__ import annotations
@@ -202,14 +202,14 @@ def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> list[ClaimRe
                 "sylow.derived-order",
                 f"k={k}",
                 1 << ((1 << k) - k - 2),
-                len(derived),
+                derived.order,
                 started,
             )
         )
         started = time.perf_counter()
         rank = group.minimal_generating_size(derived)
         if k == 3:
-            brute = group.minimal_generating_size_brute(derived)
+            brute = group.minimal_generating_size_brute(derived.elements())
             results.append(
                 _claim("sylow.min-gen-agreement", f"k={k}", f"rank:{rank}", f"rank:{brute}", started)
             )

@@ -96,12 +96,12 @@ def test_criterion_5_sylow_and_commutator():
         ok = ok and s_count == 1 << ((1 << k) - 1)
         ok = ok and a_count == 1 << ((1 << k) - 2)
         derived = group.derived_subgroup(group.generators("A"))
-        ok = ok and len(derived) == 1 << ((1 << k) - k - 2)
-        details.append(f"k={k}:|S|={s_count},|A|={a_count},|derived|={len(derived)}")
+        ok = ok and derived.order == 1 << ((1 << k) - k - 2)
+        details.append(f"k={k}:|S|={s_count},|A|={a_count},|derived|={derived.order}")
     G3 = tree_group(3)
     derived3 = G3.derived_subgroup(G3.generators("A"))
     frattini_rank = G3.minimal_generating_size(derived3)
-    brute_rank = G3.minimal_generating_size_brute(derived3)
+    brute_rank = G3.minimal_generating_size_brute(derived3.elements())
     ok = ok and frattini_rank == brute_rank
     details.append(f"d(derived,k=3)={frattini_rank}=={brute_rank}")
     report(5, "; ".join(details), ok)

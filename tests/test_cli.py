@@ -408,6 +408,23 @@ def test_stats_tree_cap_names_the_order_as_a_power(capsys, k, exponent):
     assert err == f"error: |G| = 2^{exponent} exceeds cap 100000\n"
 
 
+@pytest.mark.parametrize(
+    "platform, params, power",
+    [
+        ("heisenberg", ("1009", "2000", "2000"), "1009^4001"),
+        ("metacyclic", ("3", "2000", "2000"), "3^4000"),
+        ("heisenberg", ("5", "4", "4"), "5^9"),
+        ("metacyclic", ("3", "10", "2"), "3^12"),
+    ],
+)
+def test_stats_pgroup_cap_names_the_order_as_a_power(capsys, platform, params, power):
+    # 1009^4001 has over 12000 decimal digits, past what `str` converts.
+    flags = [arg for flag, value in zip(("-p", "-m", "-n"), params) for arg in (flag, value)]
+    code, out, err = run_cli(capsys, "stats", "--platform", platform, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: |G| = {power} exceeds cap 100000\n"
+
+
 def test_stats_metacyclic(capsys):
     code, out, _ = run_cli(
         capsys, "stats", "--platform", "metacyclic", "-p", "3", "-m", "2", "-n", "1"

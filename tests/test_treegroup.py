@@ -4,6 +4,8 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conjkex.cli import main
 from conjkex.errors import (
@@ -12,10 +14,12 @@ from conjkex.errors import (
     LevelOutOfRangeError,
     NotAGroupError,
     ParseError,
+    TooLargeError,
 )
 from conjkex.kex import validate_base
 from conjkex.treegroup import (
     MAX_DEPTH,
+    MAX_SUBGROUP_DEPTH,
     Portrait,
     TreeSylowGroup,
     _reverse,
@@ -48,7 +52,7 @@ def perm_parity_even(perm):
 
 def brute_all_pairs_derived(group, elements):
     seeds = {commutator(x, y) for x in elements for y in elements}
-    return group.closure(seeds)
+    return scratch_closure(group, seeds)
 
 
 def scratch_closure(group, gens):
@@ -129,11 +133,11 @@ def test_order_examples():
 def test_derived_subgroup_examples():
     G2 = tree_group(2)
     even4 = list(G2.all_elements(even_only=True))
-    assert len(G2.derived_subgroup(even4)) == 1  # Klein group is abelian
+    assert G2.derived_subgroup(even4).order == 1  # Klein group is abelian
     G3 = tree_group(3)
     derived = G3.derived_subgroup(G3.generators("A"))
-    assert len(derived) == 8  # 2^(8-3-2)
-    assert G3.derived_subgroup([G3.identity()]) == frozenset({G3.identity()})
+    assert derived.order == 8  # 2^(8-3-2)
+    assert G3.derived_subgroup([G3.identity()]).elements() == frozenset({G3.identity()})
 
 
 def test_minimal_generating_size_examples():
@@ -222,9 +226,9 @@ def test_enumerated_orders_match_formulas():
 @pytest.mark.parametrize("k", [2, 3])
 def test_generators_generate(k):
     G = tree_group(k)
-    assert len(G.closure(G.generators("S"))) == G.order("S")
+    assert G.closure(G.generators("S")).order == G.order("S")
     closure_a = G.closure(G.generators("A"))
-    assert closure_a == frozenset(G.all_elements(even_only=True))
+    assert closure_a.elements() == frozenset(G.all_elements(even_only=True))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -233,16 +237,16 @@ def test_derived_subgroup_matches_all_pairs_brute_force(k):
     even = list(G.all_elements(even_only=True))
     via_generators = G.derived_subgroup(G.generators("A"))
     via_all_pairs = brute_all_pairs_derived(G, even)
-    assert via_generators == via_all_pairs
-    assert len(via_generators) == 1 << ((1 << k) - k - 2)
+    assert via_generators.elements() == via_all_pairs
+    assert via_generators.order == len(via_all_pairs) == 1 << ((1 << k) - k - 2)
 
 
 def test_derived_subgroup_of_s_sylow():
-    # sanity for the closure machinery on a second family
+    # sanity for the subgroup engine on a second family
     G = tree_group(3)
     derived_s = G.derived_subgroup(G.generators("S"))
     brute = brute_all_pairs_derived(G, list(G.all_elements()))
-    assert derived_s == brute
+    assert derived_s.elements() == brute
 
 
 def test_min_gen_methods_agree_on_derived_subgroups():
@@ -250,25 +254,30 @@ def test_min_gen_methods_agree_on_derived_subgroups():
         G = tree_group(k)
         derived = G.derived_subgroup(G.generators("A"))
         fast = G.minimal_generating_size(derived)
-        brute = G.minimal_generating_size_brute(derived)
+        brute = G.minimal_generating_size_brute(derived.elements())
         assert fast == brute
 
 
-def test_greedy_generators_are_irredundant():
-    # Each greedy pick lies outside the span of the picks before it, so the
-    # incremental span is the true closure at every step.
+def test_engine_basis_is_a_polycyclic_sequence():
+    # Deepest first, each basis element lies outside the subgroup that
+    # the ones before it generate, and that subgroup has 2^i elements:
+    # the order 2^|basis| counts the oracle's closure.
     G3 = tree_group(3)
     rng = random.Random(7)
     elements = list(G3.all_elements())
     groups = [G3.closure(rng.sample(elements, 3)) for _ in range(20)]
     G4 = tree_group(4)
     groups.append(G4.derived_subgroup(G4.generators("A")))
-    for group in groups:
-        G = next(iter(group)).group
-        gens = G._greedy_generators(set(group))
-        for i, g in enumerate(gens):
-            assert g not in scratch_closure(G, gens[:i])
-        assert scratch_closure(G, gens) == group
+    for H in groups:
+        basis = H.basis
+        leading = [g.packed.bit_length() for g in basis]
+        assert leading == sorted(set(leading))
+        for i, g in enumerate(basis):
+            below = scratch_closure(H.group, basis[:i])
+            assert len(below) == 1 << i
+            assert g not in below
+        assert scratch_closure(H.group, basis) == H.elements()
+        assert len(H.elements()) == H.order
 
 
 # Generating sets whose commutators close to a subgroup that is not yet
@@ -288,10 +297,11 @@ def test_derived_subgroup_needs_the_normal_closure(texts):
     gens = [parse_canonical(t) for t in texts]
     seeds = {commutator(x, y) for x, y in combinations(gens, 2)}
     derived = G.derived_subgroup(gens)
-    assert len(derived) > len(G.closure(seeds))
-    assert derived == brute_all_pairs_derived(G, G.closure(gens))
-    assert derived == every_element_derived(G, gens)
-    assert G.minimal_generating_size(derived) == G.minimal_generating_size_brute(derived)
+    assert derived.order > len(scratch_closure(G, seeds))
+    assert derived.elements() == brute_all_pairs_derived(G, scratch_closure(G, gens))
+    assert derived.elements() == every_element_derived(G, gens)
+    brute = G.minimal_generating_size_brute(derived.elements())
+    assert G.minimal_generating_size(derived) == brute
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -309,22 +319,21 @@ def test_incremental_closure_matches_scratch_closure(k):
             )
             for _ in range(rng.randint(1, 4))
         ]
-        els = {G.identity()}
         used = []
         while len(used) < len(draws):
-            # Extend by one or several generators at a time.
-            step = draws[len(used):len(used) + rng.randint(1, 2)]
-            G._extend(els, used, step)
-            used += step
-            assert frozenset(els) == scratch_closure(G, used)
-        assert G.closure(draws) == frozenset(els)
+            # Grow the generating set by one or two at a time.
+            used += draws[len(used):len(used) + rng.randint(1, 2)]
+            H = G.closure(used)
+            oracle = scratch_closure(G, used)
+            assert H.elements() == oracle
+            assert H.order == len(oracle)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_derived_subgroup_matches_every_element_normal_closure(k):
     G = tree_group(k)
     gens = G.generators("A")
-    assert G.derived_subgroup(gens) == every_element_derived(G, gens)
+    assert G.derived_subgroup(gens).elements() == every_element_derived(G, gens)
 
 
 def test_tree_command_long_reaches_k4_closures(capsys):
@@ -332,6 +341,89 @@ def test_tree_command_long_reaches_k4_closures(capsys):
     facts = json.loads(capsys.readouterr().out)
     assert facts["derived_order"] == "1024"
     assert facts["derived_min_generators"] == "5"
+
+
+# ------------------------------------------------- the subgroup engine
+
+def thin_portraits(k):
+    """Portraits with each label set with probability about 1/8, so most
+    subgroups they generate stay proper and small enough to enumerate."""
+    bits = st.integers(0, (1 << ((1 << k) - 1)) - 1)
+    return st.tuples(bits, bits, bits).map(lambda t: t[0] & t[1] & t[2])
+
+
+@st.composite
+def generator_sets(draw, ks):
+    G = tree_group(draw(st.sampled_from(ks)))
+    packed = draw(st.lists(thin_portraits(G.k), min_size=1, max_size=3))
+    return G, [G.from_packed(p) for p in packed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets((2, 3, 4)))
+def test_closure_matches_scratch_closure_and_sift_is_membership(case):
+    G, gens = case
+    H = G.closure(gens)
+    oracle = scratch_closure(G, gens)
+    assert H.elements() == oracle
+    assert H.order == len(oracle)
+    if G.k <= 3:
+        candidates = list(G.all_elements())
+    else:
+        # Members and their neighbours across each generator of S.
+        candidates = [g * s for g in oracle for s in (G.identity(), *G.generators("S"))]
+    for g in candidates:
+        assert (g in H) == (g in oracle)
+        assert (H.sift(g).packed == 0) == (g in oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets((2, 3)))
+def test_derived_subgroup_matches_every_element_derived(case):
+    G, gens = case
+    derived = G.derived_subgroup(gens)
+    assert derived.elements() == every_element_derived(G, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets((3,)))
+def test_rank_matches_brute_force_search(case):
+    G, gens = case
+    H = G.closure(gens)
+    assume(H.order <= 16)  # the brute search takes about |H|^(rank+1) products
+    brute = G.minimal_generating_size_brute(H.elements())
+    assert G.minimal_generating_size(H) == brute
+    assert G.minimal_generating_size(H.elements()) == brute
+
+
+# log2 |G'| and the rank of G' for the Sylow 2-subgroup of A_(2^k), past
+# where G' can be enumerated: 2^k - k - 2 and 2k - 3 (the paper).
+DERIVED_PINS = {5: (25, 7), 6: (56, 9)}
+
+
+@pytest.mark.parametrize("k", sorted(DERIVED_PINS))
+def test_derived_order_and_rank_pinned_beyond_enumeration(k):
+    G = tree_group(k)
+    gens = G.generators("A")
+    derived = G.derived_subgroup(gens)
+    log_order, rank = DERIVED_PINS[k]
+    assert derived.order == 1 << log_order
+    assert G.minimal_generating_size(derived) == rank
+    rng = random.Random(k)
+    for _ in range(20):
+        assert commutator(*rng.sample(gens, 2)) in derived
+    assert G.default_base() not in derived  # odd, so outside A
+
+
+def test_tree_command_long_reaches_the_engine_limit(capsys):
+    k = MAX_SUBGROUP_DEPTH
+    assert main(["tree", "-k", str(k), "--long"]) == 0
+    facts = json.loads(capsys.readouterr().out)
+    # 2^246 at k = 8: past what len() can return.
+    assert facts["derived_order"] == str(1 << ((1 << k) - k - 2))
+    assert facts["derived_min_generators"] == str(2 * k - 3)
+    assert main(["tree", "-k", str(k + 1), "--long"]) == 2
+    assert capsys.readouterr().err == f"error: subgroup engine limited to k <= {k}\n"
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -425,8 +517,13 @@ def test_depth_and_level_errors():
         tree_group(3).level_subgroup(3)
     with pytest.raises(DepthTooLargeError):
         list(tree_group(5).all_elements())
+    beyond = tree_group(MAX_SUBGROUP_DEPTH + 1)
     with pytest.raises(DepthTooLargeError):
-        tree_group(5).derived_subgroup([tree_group(5).identity()])
+        beyond.derived_subgroup([beyond.identity()])
+    with pytest.raises(DepthTooLargeError):
+        beyond.closure([beyond.identity()])
+    with pytest.raises(TooLargeError):
+        tree_group(5).derived_subgroup(tree_group(5).generators("A")).elements()
     with pytest.raises(ValueError):
         tree_group(0)
     with pytest.raises(ValueError):
