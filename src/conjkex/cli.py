@@ -20,8 +20,8 @@ import sys
 
 from . import cryptanalysis, kex, verify
 from .core import PGroup
-from .errors import ConjKexError, TranscriptError
-from .treegroup import tree_group
+from .errors import ConjKexError, DepthTooLargeError, TranscriptError
+from .treegroup import MAX_SUBGROUP_DEPTH, tree_group
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -112,7 +112,7 @@ def _cmd_demo(args) -> int:
         try:
             with open(args.transcript, "w", encoding="utf-8") as fh:
                 fh.write(result.transcript.to_text())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # open() refuses a path with a NUL byte
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     print(
@@ -146,11 +146,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_attack(args) -> int:
     try:
-        with open(args.transcript, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.transcript, encoding="utf-8") as fh:
                 text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise TranscriptError(f"transcript is not UTF-8: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TranscriptError(f"transcript is not UTF-8: {exc}") from None
+        except ValueError as exc:  # open() refuses a path with a NUL byte
+            raise TranscriptError(str(exc)) from None
         transcript = kex.Transcript.from_text(text)
         if transcript.platform() != "metacyclic":
             raise TranscriptError("attack supports metacyclic transcripts only")
@@ -179,10 +181,11 @@ def _cmd_element(args) -> int:
         else:
             w, x = (kex.parse_element(s) for s in args.conj)
             result = w.conjugate_by(x)
+        text = result.canonical()
     except (ConjKexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(result.canonical())
+    print(text)
     return EXIT_OK
 
 
@@ -211,6 +214,11 @@ def _cmd_tree(args) -> int:
             ],
         }
         if args.k <= 3 or args.long:
+            # Refused before generators("A") builds 2^(k-1) portraits.
+            if args.k > MAX_SUBGROUP_DEPTH:
+                raise DepthTooLargeError(
+                    f"subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}"
+                )
             derived = group.derived_subgroup(group.generators("A"))
             facts["derived_order"] = _decimal(derived.order)
             facts["derived_min_generators"] = str(

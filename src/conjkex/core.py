@@ -267,7 +267,10 @@ def canonical_parser(group_class, factory):
         match = grammar.fullmatch(text)
         if not match:
             raise ParseError(f"{refusal}: {text!r}")
-        p, m, n, *exponents = map(int, match.groups())
+        try:
+            p, m, n, *exponents = map(int, match.groups())
+        except ValueError:  # past Python's str-to-int limit
+            raise ParseError(f"{refusal}: a field is too long to read") from None
         try:
             group = factory(p, m, n)
         except ValueError as exc:

@@ -30,7 +30,7 @@ class CapExceededError(ConjKexError):
 
 
 class TooLargeError(ConjKexError):
-    """Group is too big for the requested exhaustive enumeration."""
+    """Group or element is too big for the requested enumeration or text form."""
 
 
 class LevelOutOfRangeError(ConjKexError):

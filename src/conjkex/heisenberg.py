@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import PElement, PGroup, canonical_parser
-from .errors import CapExceededError
+from .errors import CapExceededError, TooLargeError
 
 
 class HeisenbergElement(PElement):
@@ -60,7 +60,12 @@ class HeisenbergElement(PElement):
         return x.inverse() * self * x
 
     def canonical(self) -> str:
-        return f"{self.group.tag};i={self.i};j={self.j};k={self.k}"
+        try:
+            return f"{self.group.tag};i={self.i};j={self.j};k={self.k}"
+        except ValueError:  # past Python's int-to-str limit
+            raise TooLargeError(
+                f"an element of {self.group.tag} is too long for a canonical string"
+            ) from None
 
     def __eq__(self, other) -> bool:
         return (

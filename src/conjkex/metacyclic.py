@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import PElement, PGroup, canonical_parser
-from .errors import NoSolutionError
+from .errors import NoSolutionError, TooLargeError
 
 
 class MetaElement(PElement):
@@ -55,7 +55,12 @@ class MetaElement(PElement):
         return x * self * x.inverse()
 
     def canonical(self) -> str:
-        return f"{self.group.tag};i={self.i};j={self.j}"
+        try:
+            return f"{self.group.tag};i={self.i};j={self.j}"
+        except ValueError:  # past Python's int-to-str limit
+            raise TooLargeError(
+                f"an element of {self.group.tag} is too long for a canonical string"
+            ) from None
 
     def __eq__(self, other) -> bool:
         return (

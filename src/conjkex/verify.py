@@ -5,12 +5,16 @@ engine (never by the closed forms under test), places it beside the
 predicted value, and reports pass/fail.  The measurement routes
 deliberately use only element multiplication and inversion, which the
 test suite pins against independent rewriting/permutation oracles.
+The largest suite, theorems, measures every class of each group in one
+sweep of products over its elements, with the conjugation action kept
+as index tables rather than element sets.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -94,31 +98,50 @@ def class_size_claims(
     """Every non-central class has size exactly p; central classes are
     singletons.  Exhaustive over each group in the grid.
 
-    One `measured_class` closure per class, not per element: the closure
-    under generator conjugation is the whole orbit from any of its
-    members, so the first unplaced member stands for all of them.  Each
-    member is still tested for centrality on its own and contributes the
-    size of its class, so "central => singleton" is measured for every
-    element.  Cost per group: |G| centrality tests plus one closure per
-    class, |Z(G)| + (|G| - |Z(G)|)/p closures when the claim holds,
-    instead of |G|.
+    One streamed pass over `group.elements()` serves both halves of the
+    claim.  For each element h and generator pair (x, x^-1) it forms
+    hx = h * x; h commutes with x when hx == x * h, and x * h is formed
+    only while h still commutes with every earlier generator.  The
+    conjugate x^-1 * hx is stored by its index i * p^n + j in x's table,
+    an `array` of |G| ints, and the central flag in a `bytearray`.  The
+    classes are then closed over those tables, one closure per class,
+    and each member contributes its own flag and its class size, so
+    "central => singleton" is measured for every element.  Cost per
+    group: 5|G| + |C_G(a)| products, two inverses, and no element sets
+    or hashing.
     """
     results = []
     for p, m, n in grid if grid is not None else default_param_grid(max_order):
         started = time.perf_counter()
         group = metacyclic_group(p, m, n)
-        gens = group.generator_elements()
-        pairs = conjugation_pairs(gens)
+        pn = group.pn
+        pairs = conjugation_pairs(group.generator_elements())
+        tables = [array("l", [0]) * group.order for _ in pairs]
+        central = bytearray(group.order)
+        for h in group.elements():
+            index = h.i * pn + h.j
+            commutes = True
+            for table, (x, x_inv) in zip(tables, pairs):
+                hx = h * x
+                commutes = commutes and hx == x * h
+                conj = x_inv * hx
+                table[index] = conj.i * pn + conj.j
+            central[index] = commutes
         sizes = {True: set(), False: set()}  # central -> observed sizes
         placed = bytearray(group.order)
-        for g in group.elements():
-            if placed[g.i * group.pn + g.j]:
+        for start in range(group.order):
+            if placed[start]:
                 continue
-            cls = measured_class(g, pairs)
-            for h in cls:
-                placed[h.i * group.pn + h.j] = 1
-                central = all(h * x == x * h for x in gens)
-                sizes[central].add(len(cls))
+            placed[start] = 1
+            cls = [start]
+            for index in cls:  # grows while it is read: a breadth-first closure
+                for table in tables:
+                    image = table[index]
+                    if not placed[image]:
+                        placed[image] = 1
+                        cls.append(image)
+            for index in cls:
+                sizes[central[index] == 1].add(len(cls))
         measured = (
             f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
         )

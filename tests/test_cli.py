@@ -33,9 +33,10 @@ def test_demo_metacyclic(capsys, tmp_path):
     assert len(lines) == 4  # header, params, two publics; no debug line
 
 
-@pytest.mark.parametrize("target", ["missing/t.ndjson", "."])
+@pytest.mark.parametrize("target", ["missing/t.ndjson", ".", "bad\x00path"])
 def test_demo_unwritable_transcript_is_a_usage_error(capsys, tmp_path, target):
-    # A path under a directory that does not exist, and a directory.
+    # A path under a directory that does not exist, a directory, and a
+    # path with a NUL byte, which open() refuses with a ValueError.
     code, out, err = run_cli(
         capsys,
         "demo", "--platform", "metacyclic", "-p", "1009", "-m", "2", "-n", "2",
@@ -298,6 +299,12 @@ def test_attack_repeated_in_process_gives_the_same_report(capsys, tmp_path):
     assert reports[0]["group_ops"] == "2"
 
 
+def test_attack_rejects_a_path_with_a_nul_byte(capsys):
+    code, out, err = run_cli(capsys, "attack", "--transcript", "bad\x00path")
+    assert (code, out) == (2, "")
+    assert err == "error: embedded null byte\n"
+
+
 def test_attack_rejects_non_utf8_file(capsys, tmp_path):
     path, _ = _write_demo_transcript(capsys, tmp_path)
     path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
@@ -359,6 +366,54 @@ def test_element_roundtrip_property(capsys):
         code, out, _ = run_cli(capsys, "element", "--mul", e.canonical(), H.identity().canonical())
         assert code == 0
         assert parse_element(out.strip()) == e
+
+
+# Python refuses to convert ints of more than 4300 decimal digits to or
+# from text.  A p-group exponent can pass that, both in a canonical
+# string and in an element computed from a short one.
+LONG_FIELD = "1" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    "mc:p=3;m=99999;n=2;i=1;j=0",
+    "mm:p=3;m=99999;n=2;i=1;j=0;k=0",
+], ids=["metacyclic", "heisenberg"])
+def test_element_too_long_to_print_is_a_usage_error(capsys, text):
+    # The inverse's a-exponent is 3^99999 - 1, of 47,712 digits.
+    code, out, err = run_cli(capsys, "element", "--inv", text)
+    assert (code, out) == (2, "")
+    tag = text.split(";i=")[0]
+    assert err == f"error: an element of {tag} is too long for a canonical string\n"
+
+
+@pytest.mark.parametrize("text", [
+    f"mc:p=3;m=2;n=2;i={LONG_FIELD};j=0",
+    f"mm:p=3;m=2;n=2;i={LONG_FIELD};j=0;k=0",
+    f"mc:p={LONG_FIELD};m=2;n=2;i=0;j=0",
+    f"mm:p=3;m={LONG_FIELD};n=1;i=0;j=0;k=0",
+], ids=["mc-i", "mm-i", "mc-p", "mm-m"])
+def test_element_field_too_long_to_read_is_a_usage_error(capsys, text):
+    code, out, err = run_cli(capsys, "element", "--inv", text)
+    assert (code, out) == (2, "")
+    kind = "metacyclic" if text.startswith("mc:") else "heisenberg"
+    assert err == f"error: not a canonical {kind} element: a field is too long to read\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (
+        ("--platform", "metacyclic", "-p", "3", "-m", "10000", "-n", "2"),
+        "an element of mc:p=3;m=10000;n=2 is too long for a canonical string",
+    ),
+    (
+        ("--platform", "heisenberg", "-p", "3", "-m", "2", "-n", "2",
+         "--base", f"mm:p=3;m=2;n=2;i={LONG_FIELD};j=0;k=0"),
+        "not a canonical heisenberg element: a field is too long to read",
+    ),
+], ids=["metacyclic-key", "heisenberg-base"])
+def test_demo_past_the_digit_limit_is_a_usage_error(capsys, flags, message):
+    code, out, err = run_cli(capsys, "demo", *flags, "--seed-a", "1", "--seed-b", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------- tree/stats

@@ -1,0 +1,211 @@
+"""Boundary fuzzing of `cli.main`: malformed and extreme argv for every
+subcommand must end in a documented exit code, never in an exception.
+
+Exit codes: 0 success, 1 failed claims or attack, 2 bad usage or
+malformed input (argparse's own SystemExit(2) included), 3 key
+disagreement.  Every example is kept cheap: no `verify` with a suite that
+runs, no `tree --long` at k = 7 or 8 (the engine's slow depths), no tree
+depth between 17 and 20, a small `stats` cap, and exponent heights m, n of
+at most 12, since p^m is built whole.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conjkex.cli import main
+from conjkex.verify import SUITES
+
+FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
+
+LONG = "9" * 5000  # past Python's 4300-digit str-to-int limit
+NEAR_LIMIT = "9" * 4300
+
+# Text that argparse's int() refuses: no decimal digits at all.
+NOT_INTS = st.text(
+    alphabet=st.characters(exclude_categories=("Nd", "Cs")), max_size=6
+)
+SMALL = st.integers(min_value=-3, max_value=12).map(str)
+HEIGHTS = st.one_of(SMALL, NOT_INTS, st.sampled_from(["+2", " 3", "1_0", "3.0", LONG]))
+PRIMES = st.one_of(
+    st.integers(min_value=-5, max_value=60).map(str),
+    NOT_INTS,
+    st.sampled_from([
+        "1009", "65537", str(2 ** 61 - 1), str(2 ** 127 - 1),
+        str(10 ** 30), "1" + "0" * 4000, LONG,
+    ]),
+)
+DEPTHS = st.one_of(
+    st.integers(min_value=-3, max_value=16).map(str),
+    NOT_INTS,
+    st.sampled_from(["21", str(10 ** 30), NEAR_LIMIT, LONG]),
+)
+SEEDS = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70).map(str), NOT_INTS, st.just(LONG)
+)
+CAPS = st.one_of(st.integers(min_value=-5, max_value=2000).map(str), NOT_INTS)
+
+
+@st.composite
+def canonical_texts(draw):
+    """Near-canonical element strings: right or wrong prefixes, fields
+    that are minimal, padded, signed, empty or past the digit limit."""
+    exponent = st.one_of(
+        st.integers(min_value=0, max_value=40).map(str),
+        st.sampled_from(["", "00", "01", "-1", "a", NEAR_LIMIT, LONG, str(2 ** 127 - 1)]),
+    )
+    kind = draw(st.sampled_from(["mc", "mm", "tg", "xx", "raw"]))
+    if kind == "raw":
+        return draw(st.text(max_size=30))
+    if kind == "tg":
+        bits = draw(st.one_of(
+            st.integers(min_value=0, max_value=1 << 40).map(lambda b: f"{b:x}"),
+            st.sampled_from(["", "0f", "F", "-1", "f" * 300]),
+        ))
+        return f"tg:k={draw(DEPTHS.filter(lambda k: k != NEAR_LIMIT))};bits={bits}"
+    heights = st.one_of(st.integers(min_value=0, max_value=12).map(str), st.just(LONG))
+    names = ["i", "j", "k"][: 2 if kind == "mc" else 3]
+    fields = [
+        f"p={draw(PRIMES)}", f"m={draw(heights)}", f"n={draw(heights)}",
+        *(f"{name}={draw(exponent)}" for name in names),
+    ]
+    return f"{kind}:" + ";".join(fields)
+
+
+def platform_flags(draw):
+    flags = ["--platform", draw(st.sampled_from(["metacyclic", "heisenberg", "tree", "nope"]))]
+    for flag, values in (("-p", PRIMES), ("-m", HEIGHTS), ("-n", HEIGHTS), ("-k", DEPTHS)):
+        if draw(st.booleans()):
+            flags += [flag, draw(values)]
+    return flags
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run(argv):
+    """Exit code and stderr of `cli.main(argv)`, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 on bad usage, 0 on --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def transcript_paths(workdir):
+    return st.sampled_from([
+        str(workdir / "t.ndjson"),
+        str(workdir / "missing" / "t.ndjson"),
+        str(workdir),
+        "",
+        "bad\x00path",
+    ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_demo_argv(workdir, data):
+    draw = data.draw
+    argv = ["demo", *platform_flags(draw)]
+    if draw(st.booleans()):
+        argv += ["--base", draw(canonical_texts())]
+    argv += ["--seed-a", draw(SEEDS), "--seed-b", draw(SEEDS)]
+    if draw(st.booleans()):
+        argv += ["--transcript", draw(transcript_paths(workdir))]
+    if draw(st.booleans()):
+        argv.append("--debug-key")
+    run(argv)
+
+
+@FUZZ
+@given(
+    suite=st.one_of(
+        st.text(max_size=12).filter(lambda s: s not in (*SUITES, "all")),
+        st.sampled_from(["theorems", "center"]),
+    ),
+    max_order=st.one_of(st.integers(min_value=-10, max_value=26).map(str), NOT_INTS),
+    long=st.booleans(),
+)
+def test_verify_argv(suite, max_order, long):
+    # An unknown suite, or a grid suite that --max-order leaves no group.
+    argv = ["verify", "--suite", suite, "--max-order", max_order]
+    code, _ = run(argv + ["--long"] if long else argv)
+    assert code == 2
+
+
+@st.composite
+def transcript_texts(draw):
+    keys = ["type", "platform", "p", "m", "n", "w", "from", "value", "key", "rng"]
+    values = st.one_of(
+        canonical_texts(),
+        st.sampled_from(["header", "params", "public", "debug", "alice", "bob", "metacyclic"]),
+    )
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if draw(st.booleans()):
+            message = draw(st.dictionaries(st.sampled_from(keys), values, max_size=6))
+            lines.append(json.dumps(message))
+        else:
+            lines.append(draw(st.text(max_size=30)))
+    return "\n".join(lines)
+
+
+@FUZZ
+@given(data=st.data())
+def test_attack_argv(workdir, data):
+    path = data.draw(transcript_paths(workdir))
+    if path.endswith("t.ndjson") and "missing" not in path:
+        body = data.draw(st.one_of(transcript_texts(), st.binary(max_size=40)))
+        if isinstance(body, str):
+            (workdir / "t.ndjson").write_text(body, encoding="utf-8")
+        else:
+            (workdir / "t.ndjson").write_bytes(body)
+    run(["attack", "--transcript", path])
+
+
+@FUZZ
+@given(
+    op=st.sampled_from(["--mul", "--inv", "--conj"]),
+    texts=st.lists(canonical_texts(), min_size=0, max_size=3),
+)
+def test_element_argv(op, texts):
+    run(["element", op, *texts])
+
+
+@FUZZ
+@given(depth=DEPTHS, long=st.booleans())
+def test_tree_argv(depth, long):
+    if long and depth in ("7", "8"):
+        return  # the subgroup engine takes seconds there
+    run(["tree", "-k", depth, "--long"] if long else ["tree", "-k", depth])
+
+
+@FUZZ
+@given(data=st.data())
+def test_stats_argv(data):
+    argv = ["stats", *platform_flags(data.draw), "--cap", data.draw(CAPS)]
+    run(argv)
+
+
+@FUZZ
+@given(
+    argv=st.one_of(
+        st.lists(st.text(max_size=10), max_size=4),
+        st.tuples(
+            st.sampled_from(["demo", "attack", "element", "tree", "stats", "-h", "--help"]),
+            st.lists(st.text(max_size=10), max_size=4),
+        ).map(lambda t: [t[0], *t[1]]),
+    )
+)
+def test_arbitrary_argv(argv):
+    run(argv)

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjkex.errors import CapExceededError, DepthMismatchError, ParamMismatchError
+from conjkex.errors import (
+    CapExceededError,
+    DepthMismatchError,
+    ParamMismatchError,
+    ParseError,
+    TooLargeError,
+)
 from conjkex.heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
+from conjkex.heisenberg import parse_canonical as parse_heisenberg
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
+from conjkex.metacyclic import parse_canonical as parse_metacyclic
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
 
 EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
@@ -234,3 +242,21 @@ def test_shared_base_powers_commutation_and_immutability(g, h):
 ], ids=["metacyclic", "heisenberg", "tree"])
 def test_element_repr(g, text):
     assert repr(g) == text
+
+
+@pytest.mark.parametrize("factory, parse", [
+    (metacyclic_group, parse_metacyclic),
+    (heisenberg_group, parse_heisenberg),
+], ids=["metacyclic", "heisenberg"])
+def test_pgroup_text_past_the_digit_limit_raises_package_errors(factory, parse):
+    # Python converts ints of at most 4300 decimal digits to and from text.
+    G = factory(3, 9000, 1)  # 3^9000 has 4,295 digits, so p^m - 1 fits
+    big = G.a(-1)
+    assert parse(big.canonical()) == big
+    G = factory(3, 9100, 1)  # 3^9100 - 1 has 4,342
+    with pytest.raises(TooLargeError, match="too long for a canonical string"):
+        G.a(-1).canonical()
+    assert G.a(1).canonical().startswith(f"{G.tag};i=1;")
+    fields = ";".join(["i=" + "9" * 4301, "j=0", "k=0"][: len(G.moduli)])
+    with pytest.raises(ParseError, match="a field is too long to read"):
+        parse(f"{G.tag};{fields}")

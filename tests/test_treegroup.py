@@ -426,6 +426,20 @@ def test_tree_command_long_reaches_the_engine_limit(capsys):
     assert capsys.readouterr().err == f"error: subgroup engine limited to k <= {k}\n"
 
 
+@pytest.mark.parametrize("k", [MAX_SUBGROUP_DEPTH + 1, 16, 20])
+def test_tree_command_long_refuses_before_building_generators(capsys, monkeypatch, k):
+    # generators("A") holds 2^(k-1) portraits of 2^k bits each: 64 GB at
+    # k = 20.  The refusal must come before it is called.
+    def refuse(self, variant="S"):
+        raise AssertionError(f"generators({variant!r}) built at k = {self.k}")
+
+    monkeypatch.setattr(TreeSylowGroup, "generators", refuse)
+    assert main(["tree", "-k", str(k), "--long"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}\n"
+    )
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_conjugacy_class_and_center_match_brute_force(k):
     G = tree_group(k)

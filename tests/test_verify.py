@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conjkex import verify
-from conjkex.metacyclic import metacyclic_group
+from conjkex.metacyclic import MetaElement, metacyclic_group
 from conjkex.treegroup import TreeSylowGroup
 from conjkex.verify import (
+    SUITES,
     ClaimResult,
     center_claims,
     class_size_claims,
@@ -18,6 +20,8 @@ from conjkex.verify import (
 )
 
 SMALL_GRID = [(3, 2, 1), (3, 2, 2), (5, 2, 1)]
+ORACLE_GRID = [*SMALL_GRID, (3, 3, 2), (7, 2, 1)]
+GOLDEN = Path(__file__).parent / "data" / "verify_all_long.ndjson"
 
 
 def test_default_grid_is_pinned():
@@ -53,31 +57,80 @@ def per_element_class_sizes(p, m, n):
     return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
 
 
-@pytest.mark.parametrize("params, classes", [((3, 2, 1), 11), ((5, 2, 1), 29)])
-def test_class_size_claims_measure_each_class_once(monkeypatch, params, classes):
-    # |Z| + (|G| - |Z|)/p classes: 3 + 24/3 and 5 + 120/5.
+@pytest.mark.parametrize("params, products", [((3, 2, 1), 144), ((5, 2, 1), 650)])
+def test_class_size_claims_make_one_product_sweep(monkeypatch, params, products):
+    # 5|G| + |C_G(a)|: 5 * 27 + 9 and 5 * 125 + 25.  Two products and a
+    # commutation test per element and generator, and the test against b
+    # only for the elements that commute with a.
+    group = metacyclic_group(*params)
+    centralizer = sum(1 for g in group.elements() if g * group.a() == group.a() * g)
+    assert products == 5 * group.order + centralizer
     calls = []
-    real = verify.measured_class
+    real = MetaElement.__mul__
 
-    def counting(w, pairs):
-        calls.append(w)
-        return real(w, pairs)
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
 
-    monkeypatch.setattr(verify, "measured_class", counting)
+    monkeypatch.setattr(MetaElement, "__mul__", counting)
     [result] = class_size_claims(grid=[params])
     assert result.passed
-    assert len(calls) == classes
-    # ... and each call starts in a class of its own.
-    group = metacyclic_group(*params)
-    pairs = verify.conjugation_pairs(group.generator_elements())
-    assert len({real(w, pairs) for w in calls}) == classes
+    assert len(calls) == products
+
+
+def test_class_size_claims_fail_when_products_fake_commutation(monkeypatch):
+    # x * h returns h * x for a generator x and any other h: every element
+    # outside <a> and <b> reads as central, while conjugation is intact.
+    group = metacyclic_group(3, 2, 1)
+    gens = group.generator_elements()
+    real = MetaElement.__mul__
+
+    def faking(self, other):
+        if self in gens and other not in gens:
+            return real(other, self)
+        return real(self, other)
+
+    monkeypatch.setattr(MetaElement, "__mul__", faking)
+    [result] = class_size_claims(grid=[(3, 2, 1)])
+    assert not result.passed
+    assert result.measured_value == "central:[1, 3];noncentral:[3]"
+
+
+def test_class_size_claims_fail_when_products_break_conjugation(monkeypatch):
+    # x^-1 * g returns g for a generator's inverse: the "conjugate" of h
+    # is h * x, so one class swallows the group.  Centrality is intact.
+    group = metacyclic_group(3, 2, 1)
+    inverses = [x.inverse() for x in group.generator_elements()]
+    real = MetaElement.__mul__
+
+    def breaking(self, other):
+        return other if self in inverses else real(self, other)
+
+    monkeypatch.setattr(MetaElement, "__mul__", breaking)
+    [result] = class_size_claims(grid=[(3, 2, 1)])
+    assert not result.passed
+    assert result.measured_value == "central:[27];noncentral:[27]"
 
 
 def test_class_size_values_match_per_element_loop():
-    results = class_size_claims(grid=SMALL_GRID)
+    results = class_size_claims(grid=ORACLE_GRID)
     assert [r.measured_value for r in results] == [
-        per_element_class_sizes(*params) for params in SMALL_GRID
+        per_element_class_sizes(*params) for params in ORACLE_GRID
     ]
+
+
+def test_all_long_claims_match_the_golden_set():
+    # Every claim of `verify --suite all --long`, elapsed_ms dropped: a
+    # faster measurement route must keep each id, params, paper value
+    # and measured value.
+    golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    measured = []
+    for result in run_suites(SUITES, long=True):
+        fields = json.loads(result.to_json())
+        del fields["elapsed_ms"]
+        measured.append(fields)
+    assert len(golden) == 66
+    assert measured == golden
 
 
 def test_min_gen_rank_claim_is_checked_against_the_paper(monkeypatch):
