@@ -19,10 +19,10 @@ print(f"their composite  {combo.canonical()}  acts as {combo.to_permutation()}\n
 print(f"{'k':>2} {'|Syl2(S)|':>10} {'|Syl2(A)|':>10} {'|derived|':>10} {'d(derived)':>11}")
 for k in (2, 3, 4):
     group = tree_group(k)
-    derived = group.derived_subgroup(group.generators("A"))
+    derived = group.derived_subgroup(group.even_generators())
     rank = group.minimal_generating_size(derived)
     print(
-        f"{k:>2} {group.order('S'):>10} {group.order('A'):>10} "
+        f"{k:>2} {group.order:>10} {group.order >> 1:>10} "
         f"{derived.order:>10} {rank:>11}"
     )
 
@@ -30,7 +30,7 @@ print("\npast enumeration, the subgroup engine (an echelon basis of G') gives")
 print("log2|derived| = 2^k-k-2 and d(derived) = 2k-3")
 for k in (5, 6, 7):
     group = tree_group(k)
-    derived = group.derived_subgroup(group.generators("A"))
+    derived = group.derived_subgroup(group.even_generators())
     rank = group.minimal_generating_size(derived)
     print(f"  k={k}: log2|derived| = {derived.order.bit_length() - 1}, d(derived) = {rank}")
 

@@ -9,7 +9,7 @@ rests on.
 """
 
 from .arith import OpCounter, bsgs_dlog, is_probable_prime
-from .cryptanalysis import AttackReport, brute_conjugacy, bsgs_break, orbit_stats
+from .cryptanalysis import AttackReport, bsgs_break, orbit_stats
 from .heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from .kex import DemoResult, Session, Transcript, parse_element, run_demo, validate_base
 from .metacyclic import MetacyclicGroup, MetaElement, metacyclic_group
@@ -31,7 +31,6 @@ __all__ = [
     "Session",
     "Transcript",
     "TreeSylowGroup",
-    "brute_conjugacy",
     "bsgs_break",
     "bsgs_dlog",
     "commutator",

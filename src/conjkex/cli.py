@@ -207,19 +207,19 @@ def _cmd_tree(args) -> int:
         group = tree_group(args.k)
         facts = {
             "k": str(args.k),
-            "s_order": _decimal(group.order("S")),
-            "a_order": _decimal(group.order("A")),
+            "s_order": _decimal(group.order),
+            "a_order": _decimal(group.order >> 1),
             "level_subgroup_orders": [
                 _decimal(group.level_subgroup_order(level)) for level in range(args.k)
             ],
         }
         if args.k <= 3 or args.long:
-            # Refused before generators("A") builds 2^(k-1) portraits.
+            # Refused before even_generators() builds 2^(k-1) portraits.
             if args.k > MAX_SUBGROUP_DEPTH:
                 raise DepthTooLargeError(
                     f"subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}"
                 )
-            derived = group.derived_subgroup(group.generators("A"))
+            derived = group.derived_subgroup(group.even_generators())
             facts["derived_order"] = _decimal(derived.order)
             facts["derived_min_generators"] = str(
                 group.minimal_generating_size(derived)

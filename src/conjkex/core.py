@@ -1,14 +1,29 @@
-"""The element contract the three platforms share.
+"""The contract the three platforms share.
 
-A platform is a group class (its parameters, enumeration and the key
-exchange's commuting subgroup) and an immutable element class in a
-unique normal form, so element equality compares fields.  The group
-classes derive from `Group`, which gives them ownership checks, equality
-and hashing over their parameter tuple, and the conjugacy class as a
-closure under generator conjugation.  The element classes derive from
-`Element`, which gives them immutability, the operand check, powers and
-commutation.  Each platform writes its own `__mul__`, `inverse` and
-`conjugate_by`: they are the hot paths.
+A platform is a group class and an immutable element class in a unique
+normal form, so element equality compares fields.  Every group answers:
+
+- `kind` and `param_names`, the parameters that fix it and that
+  transcripts carry (`wire_params()`);
+- `p`, `log_order` and `order`: every platform is a p-group, and
+  |G| = p^log_order;
+- `identity()`, `generator_elements()` (a generating set), `elements()`
+  (an enumeration, refused past a size limit) and
+  `conjugacy_class(w, cap)`;
+- the key exchange's policies: the commuting subgroup the privates come
+  from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
+  s from `first_private` on), `default_base()` and `usable_base(w)`.
+
+Every element answers `*`, `inverse()`, `conjugate_by(x)`,
+`canonical()`, `is_central()`, `is_identity()`, powers and
+`commutes_with(h)`.
+
+The group classes derive from `Group`, which gives them ownership
+checks, equality and hashing over their parameter tuple, and the
+conjugacy class as a closure under generator conjugation.  The element
+classes derive from `Element`, which gives them immutability, the
+operand check, powers and commutation.  Each platform writes its own
+`__mul__`, `inverse` and `conjugate_by`: they are the hot paths.
 
 The two p-group platforms share more: `PGroup` and `PElement` hold
 their parameters, normal form, enumeration, centre and key-exchange
@@ -25,7 +40,6 @@ from __future__ import annotations
 
 import re
 from itertools import product, starmap
-from math import prod
 
 from .arith import is_probable_prime
 from .errors import (
@@ -73,12 +87,18 @@ class Group:
 
     A subclass sets `kind` and `param_names`, the attributes that fix
     the group and that transcripts carry; two groups are equal when
-    their kinds and those attributes are.  `generator_elements()` and
-    `identity()` are the subclass's.
+    their kinds and those attributes are.  It also sets `p`,
+    `log_order`, `order` and `first_private`, and writes every other
+    method of the contract in the module docstring but
+    `conjugacy_class`, which this class gives.
     """
 
     kind: str
     param_names: tuple[str, ...]
+    p: int
+    log_order: int
+    order: int
+    first_private: int
 
     def _params(self) -> tuple:
         return tuple(getattr(self, name) for name in self.param_names)
@@ -153,8 +173,9 @@ class PGroup(Group):
     prime, a of order p^m and b of order p^n.  An element is its tuple
     of reduced exponents in a normal form that starts a^i b^j; only the
     multiplication law differs.  <b> is the key exchange's commuting
-    subgroup, a the default base, and an element is central exactly
-    when p divides both i and j.
+    subgroup, drawn from b^1 on (b^0 would fix every base), and a is
+    the default base.  An element is central exactly when p divides
+    both i and j.
 
     A subclass sets `kind`, `prefix` (of its canonical strings),
     `min_m`, `exponent_names`, its `element_class` and that class's
@@ -162,6 +183,7 @@ class PGroup(Group):
     """
 
     param_names = ("p", "m", "n")
+    first_private = 1
     prefix: str
     min_m: int
     exponent_names: tuple[str, ...]
@@ -178,7 +200,8 @@ class PGroup(Group):
         self.pn = p ** n
         # i mod p^m, j mod p^n, and an exponent after j (of a central c) mod p.
         self.moduli = (self.pm, self.pn, p)[: len(self.exponent_names)]
-        self.order = prod(self.moduli)
+        self.log_order = m + n + len(self.moduli) - 2
+        self.order = p ** self.log_order
         self.tag = f"{self.prefix}:p={p};m={m};n={n}"
 
     def element(self, *exponents):
@@ -219,6 +242,11 @@ class PGroup(Group):
     def default_base(self):
         return self.a(1)
 
+    def usable_base(self, w) -> bool:
+        """A base must be moved by the b-powers and lie in <a>: a
+        non-central power of a."""
+        return not w.is_central() and w == self.a(w.i)
+
 
 class PElement(Element):
     """Base of the p-group elements, whose `__slots__` are "group" and
@@ -240,9 +268,6 @@ class PElement(Element):
 
     def is_identity(self) -> bool:
         return self == self.group.identity()
-
-    def in_a_subgroup(self) -> bool:
-        return self == self.group.a(self.i)
 
     def __repr__(self) -> str:
         G = self.group

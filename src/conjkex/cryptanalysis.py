@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .arith import OpCounter
-from .errors import NoSolutionError, NotInOrbitError, TooLargeError
+from .errors import NoSolutionError, TooLargeError
 
 
 @dataclass
@@ -36,17 +36,6 @@ class AttackReport:
             },
             separators=(",", ":"),
         )
-
-
-def brute_conjugacy(w, w_pub, max_iter: int) -> int:
-    """Scan the designated commuting subgroup for the least conjugator
-    index s with conjugate(w, subgroup[s]) = w_pub."""
-    group = w.group
-    bound = min(max_iter + 1, group.commuting_subgroup_order())
-    for s in range(bound):
-        if w.conjugate_by(group.commuting_conjugator(s)) == w_pub:
-            return s
-    raise NotInOrbitError(f"no conjugator found within {max_iter} steps")
 
 
 def bsgs_break(w, w_x, w_y) -> AttackReport:
@@ -89,30 +78,17 @@ def bsgs_break(w, w_x, w_y) -> AttackReport:
     )
 
 
-def class_size_histogram(elements, class_of) -> dict[int, int]:
-    """Histogram {class size: number of classes} over an element list."""
-    seen = set()
-    histogram: dict[int, int] = {}
-    for g in elements:
-        if g in seen:
-            continue
-        cls = class_of(g)
-        seen.update(cls)
-        histogram[len(cls)] = histogram.get(len(cls), 0) + 1
-    return histogram
-
-
 def orbit_stats(group, cap: int = 10 ** 5) -> dict[int, int]:
-    """Class-size histogram over the whole platform group."""
+    """Histogram {class size: number of classes} over the whole group."""
     # The order is named as a power: past 4300 decimal digits, which a
     # tree from k = 14 and a p-group of large m + n reach, `str` refuses it.
-    if group.kind == "tree":
-        if group.order("S") > cap:
-            raise TooLargeError(f"|G| = 2^{group.bit_count} exceeds cap {cap}")
-        elements = list(group.all_elements())
-    else:
-        if group.order > cap:
-            exponent = group.m + group.n + len(group.moduli) - 2  # c adds one
-            raise TooLargeError(f"|G| = {group.p}^{exponent} exceeds cap {cap}")
-        elements = list(group.elements())
-    return class_size_histogram(elements, group.conjugacy_class)
+    if group.order > cap:
+        raise TooLargeError(f"|G| = {group.p}^{group.log_order} exceeds cap {cap}")
+    seen = set()
+    histogram: dict[int, int] = {}
+    for g in group.elements():
+        if g not in seen:
+            cls = group.conjugacy_class(g)
+            seen.update(cls)
+            histogram[len(cls)] = histogram.get(len(cls), 0) + 1
+    return histogram

@@ -54,11 +54,6 @@ class HeisenbergElement(PElement):
             self._check(x)
         return _make(G, self.i, self.j, (self.k + self.i * x.j - self.j * x.i) % G.p)
 
-    def conjugate_via_products(self, x: "HeisenbergElement") -> "HeisenbergElement":
-        """Reference route for cross-checks: literal x^-1 * self * x."""
-        self._check(x)
-        return x.inverse() * self * x
-
     def canonical(self) -> str:
         try:
             return f"{self.group.tag};i={self.i};j={self.j};k={self.k}"

@@ -1,17 +1,21 @@
 """Conjugacy key exchange over any of the three group platforms.
 
-Both parties share a non-central base element w.  Each draws a private
-element from a designated elementwise-commuting subgroup, publishes the
-conjugate of w under it, and conjugates the peer's public value with its
-own private; because the privates commute, both arrive at the same group
-element.  The shared secret is the canonical text form of that element,
-as bytes.
+Both parties share a base element w.  Each draws a private element from
+a designated elementwise-commuting subgroup, publishes the conjugate of
+w under it, and conjugates the peer's public value with its own private;
+because the privates commute, both arrive at the same group element.
+The shared secret is the canonical text form of that element, as bytes.
 
-The designated commuting subgroups are <b> for the metacyclic and
-heisenberg platforms (cyclic, and conjugation of <a> by b-powers is
-non-trivial) and a single level subgroup (level k-2) for trees.  Drawing
-privates from the center instead would fix w and make every key equal
-to w, so central sampling is deliberately not offered.
+This module states no platform policy; each group class states its own
+(the contract in `core`):
+
+- the commuting subgroup and its first private index: `PGroup` draws
+  b^s for s >= 1 from the cyclic <b>, `TreeSylowGroup` the whole level
+  k-2, identity included (`commuting_subgroup_order`,
+  `commuting_conjugator`, `first_private`);
+- the base rule, `usable_base`: a non-central power of a on the
+  p-groups, and a portrait that some private moves on the tree.  A base
+  that every private fixes would make every key equal to it.
 
 Wire format: newline-delimited JSON messages with lowercase keys and no
 extra whitespace; integers travel as minimal decimal strings, elements
@@ -57,22 +61,16 @@ def parse_element(text: str):
 
 
 def validate_base(w) -> bool:
-    """A usable base is non-central; on the p-group platforms it must
-    also be a power of a."""
-    if w.group.kind == "tree":
-        return not w.group.is_central(w)
-    return not w.is_central() and w.in_a_subgroup()
+    """Whether w is a usable base, by its group's rule."""
+    return w.group.usable_base(w)
 
 
 def sample_private(group, rng: SplitMix64):
-    """Uniform draw from the designated commuting subgroup.
-
-    Cyclic platforms exclude the identity (v >= 1); the tree subgroup is
-    sampled whole, identity included.
-    """
-    if group.kind == "tree":
-        return group.commuting_conjugator(rng.randrange(group.commuting_subgroup_order()))
-    return group.commuting_conjugator(1 + rng.randrange(group.commuting_subgroup_order() - 1))
+    """Uniform draw from the designated commuting subgroup, from its
+    group's first private index on."""
+    first = group.first_private
+    bound = group.commuting_subgroup_order() - first
+    return group.commuting_conjugator(first + rng.randrange(bound))
 
 
 class Session:

@@ -55,7 +55,7 @@ the bottom level keeps nothing, as it shares its group's all-zero tuple.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -82,17 +82,24 @@ def tree_group(k: int) -> "TreeSylowGroup":
 
 
 class TreeSylowGroup(Group):
-    """Depth parameter k plus enumeration and subgroup machinery."""
+    """Depth parameter k plus enumeration and subgroup machinery.
+
+    The key exchange's commuting subgroup is level k-2, drawn whole from
+    its identity on, and a base is usable when some private moves it.
+    """
 
     kind = "tree"
     param_names = ("k",)
+    p = 2
+    first_private = 0
 
     def __init__(self, k: int):
         if not 1 <= k <= MAX_DEPTH:
             raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
         self.k = k
         self.leaves = 1 << k
-        self.bit_count = (1 << k) - 1
+        self.bit_count = self.log_order = (1 << k) - 1
+        self.order = 1 << self.bit_count
         # _spread[e] has the bits p < 2^k with bit e of p clear: what a
         # Morton step that shifts by 2^e keeps.
         self._spread = tuple(
@@ -105,6 +112,8 @@ class TreeSylowGroup(Group):
         self._zero_masks = (0,) * (k - 1)
         # Every bottom label set: the one non-identity central element.
         self._bottom = (1 << (self.leaves >> 1)) - 1
+        # The lower bit of every bottom sibling pair.
+        self._bottom_pairs = self._bottom // 3
         self._mul_order = tuple(range(k - 2, -1, -1))
         self._inv_order = tuple(range(k - 1))
 
@@ -198,14 +207,7 @@ class TreeSylowGroup(Group):
 
     # -------------------------------------------------------- enumeration
 
-    def order(self, variant: str = "S") -> int:
-        if variant == "S":
-            return 1 << (self.bit_count)
-        if variant == "A":
-            return 1 << (self.bit_count - 1)
-        raise ValueError("variant must be 'S' or 'A'")
-
-    def all_elements(self, even_only: bool = False) -> Iterator["Portrait"]:
+    def elements(self, even_only: bool = False) -> Iterator["Portrait"]:
         if self.k > MAX_ENUM_DEPTH:
             raise DepthTooLargeError(f"enumeration limited to k <= {MAX_ENUM_DEPTH}")
         bottom = self._bottom
@@ -235,17 +237,14 @@ class TreeSylowGroup(Group):
         self._check_level(level)
         return 1 << (1 << level)
 
-    def level_subgroup_element(self, level: int, index: int) -> "Portrait":
-        return self.from_level_masks({level: index})
+    def generator_elements(self) -> list["Portrait"]:
+        """One single-vertex portrait per level."""
+        return [self.single(level, 0) for level in range(self.k)]
 
-    def generators(self, variant: str = "S") -> list["Portrait"]:
-        """Small generating sets: one single-vertex portrait per level for
-        the S-Sylow; for the A-Sylow the bottom level is replaced by
-        even bottom-pair swaps."""
-        if variant == "S":
-            return list(self._s_generators)
-        if variant != "A":
-            raise ValueError("variant must be 'S' or 'A'")
+    def even_generators(self) -> list["Portrait"]:
+        """Generators of the even half, the Sylow 2-subgroup of A_(2^k):
+        the bottom level of `generator_elements` is replaced by even
+        bottom-pair swaps."""
         if self.k == 1:
             return [self.identity()]
         gens = [self.single(level, 0) for level in range(self.k - 1)]
@@ -253,10 +252,6 @@ class TreeSylowGroup(Group):
         for pos in range(1, 1 << bottom):
             gens.append(self.from_level_masks({bottom: 1 | (1 << pos)}))
         return gens
-
-    @cached_property
-    def _s_generators(self) -> tuple["Portrait", ...]:
-        return tuple(self.single(level, 0) for level in range(self.k))
 
     # ----------------------------------------------------- subgroup tools
 
@@ -321,21 +316,25 @@ class TreeSylowGroup(Group):
         return self.level_subgroup_order(self.commuting_subgroup_level())
 
     def commuting_conjugator(self, s: int) -> "Portrait":
-        return self.level_subgroup_element(self.commuting_subgroup_level(), s)
-
-    def generator_elements(self) -> list["Portrait"]:
-        return self.generators("S")
-
-    def is_central(self, w: "Portrait") -> bool:
-        """Center test in closed form: the center of the Sylow 2-subgroup
-        has order 2 (Kaloujnine 1948), the identity and the portrait
-        that swaps every bottom pair of leaves."""
-        self._own(w)
-        return w.packed == 0 or w.packed == self._bottom
+        return self.from_level_masks({self.commuting_subgroup_level(): s})
 
     def default_base(self) -> "Portrait":
         # One bottom-level swap: moved around by level-(k-2) conjugators.
         return self.single(self.k - 1, 0)
+
+    def usable_base(self, w: "Portrait") -> bool:
+        """Whether some level-(k-2) private moves w, in closed form.
+
+        The level fixes w exactly when w has no labels above level k-2
+        and every bottom sibling pair carries equal labels; on such a w,
+        conjugation only swaps the pair below each labelled level-(k-2)
+        vertex.  That covers the centre.  At k = 1 there is no level
+        k-2, so no base is usable.
+        """
+        if self.k < 2:
+            return False
+        packed = w.packed
+        return bool(packed >> (3 << (self.k - 2)) or (packed ^ packed >> 1) & self._bottom_pairs)
 
     def _mismatch(self, other: "TreeSylowGroup") -> DepthMismatchError:
         return DepthMismatchError(f"depth mismatch: {self.k} vs {other.k}")
@@ -426,6 +425,12 @@ class Portrait(Element):
 
     def is_identity(self) -> bool:
         return self.packed == 0
+
+    def is_central(self) -> bool:
+        """Closed form: the centre of the Sylow 2-subgroup has order 2
+        (Kaloujnine 1948), the identity and the portrait that swaps
+        every bottom pair of leaves."""
+        return self.packed == 0 or self.packed == self.group._bottom
 
     def conjugate_by(self, x: "Portrait") -> "Portrait":
         """x^-1 * self * x, in two delta-swap passes (module docstring)."""

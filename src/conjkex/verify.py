@@ -207,19 +207,19 @@ def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> list[ClaimRe
     for k in ks:
         group = tree_group(k)
         started = time.perf_counter()
-        s_count = sum(1 for _ in group.all_elements())
+        s_count = sum(1 for _ in group.elements())
         results.append(
             _claim("sylow.s-order", f"k={k}", 1 << ((1 << k) - 1), s_count, started)
         )
         started = time.perf_counter()
-        a_count = sum(1 for _ in group.all_elements(even_only=True))
+        a_count = sum(1 for _ in group.elements(even_only=True))
         results.append(
             _claim("sylow.a-order", f"k={k}", 1 << ((1 << k) - 2), a_count, started)
         )
         if k >= 4 and not long:
             continue
         started = time.perf_counter()
-        derived = group.derived_subgroup(group.generators("A"))
+        derived = group.derived_subgroup(group.even_generators())
         results.append(
             _claim(
                 "sylow.derived-order",

@@ -1,0 +1,25 @@
+"""Slow reference routes that the tests hold the package to.
+
+They use nothing but the element contract (products, inverses,
+conjugation and the group's commuting subgroup), so they stay
+independent of each platform's closed forms.
+"""
+
+from conjkex.errors import NotInOrbitError
+
+
+def conjugate_via_products(w, x):
+    """Literal x^-1 * w * x."""
+    w._check(x)
+    return x.inverse() * w * x
+
+
+def brute_conjugacy(w, w_pub, max_iter: int) -> int:
+    """Scan the designated commuting subgroup for the least conjugator
+    index s with conjugate(w, subgroup[s]) = w_pub."""
+    group = w.group
+    bound = min(max_iter + 1, group.commuting_subgroup_order())
+    for s in range(bound):
+        if w.conjugate_by(group.commuting_conjugator(s)) == w_pub:
+            return s
+    raise NotInOrbitError(f"no conjugator found within {max_iter} steps")

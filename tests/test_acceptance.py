@@ -91,15 +91,15 @@ def test_criterion_5_sylow_and_commutator():
     details = []
     for k in (2, 3, 4):
         group = tree_group(k)
-        s_count = sum(1 for _ in group.all_elements())
-        a_count = sum(1 for _ in group.all_elements(even_only=True))
+        s_count = sum(1 for _ in group.elements())
+        a_count = sum(1 for _ in group.elements(even_only=True))
         ok = ok and s_count == 1 << ((1 << k) - 1)
         ok = ok and a_count == 1 << ((1 << k) - 2)
-        derived = group.derived_subgroup(group.generators("A"))
+        derived = group.derived_subgroup(group.even_generators())
         ok = ok and derived.order == 1 << ((1 << k) - k - 2)
         details.append(f"k={k}:|S|={s_count},|A|={a_count},|derived|={derived.order}")
     G3 = tree_group(3)
-    derived3 = G3.derived_subgroup(G3.generators("A"))
+    derived3 = G3.derived_subgroup(G3.even_generators())
     frattini_rank = G3.minimal_generating_size(derived3)
     brute_rank = G3.minimal_generating_size_brute(derived3.elements())
     ok = ok and frattini_rank == brute_rank
@@ -162,7 +162,7 @@ def test_criterion_8_oracle_equivalence():
                 ok = False
     for k in (1, 2, 3):
         group = tree_group(k)
-        elems = list(group.all_elements())
+        elems = list(group.elements())
         for g, h in product(elems, repeat=2):
             composed = (g * h).to_permutation()
             if composed != compose_perms(g.to_permutation(), h.to_permutation()):

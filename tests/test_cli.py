@@ -7,6 +7,7 @@ import pytest
 
 from conjkex.cli import main
 from conjkex.kex import parse_element
+from conjkex.treegroup import tree_group
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,21 @@ def test_demo_heisenberg_custom_base(capsys):
     )
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("k", [3, 6, 12])
+def test_demo_refuses_a_tree_base_that_every_private_fixes(capsys, k):
+    # The level-(k-2) generator lies in the abelian private subgroup, so
+    # every key would equal the public base.
+    base = tree_group(k).single(k - 2, 0).canonical()
+    assert k != 3 or base == "tg:k=3;bits=20"
+    code, out, err = run_cli(
+        capsys,
+        "demo", "--platform", "tree", "-k", str(k), "--base", base,
+        "--seed-a", "1", "--seed-b", "2",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: base element is unusable (central or degenerate)\n"
 
 
 def test_demo_base_platform_mismatch(capsys):

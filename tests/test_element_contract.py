@@ -21,9 +21,12 @@ from conjkex.errors import (
 )
 from conjkex.heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from conjkex.heisenberg import parse_canonical as parse_heisenberg
+from conjkex.kex import sample_private, validate_base
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
 from conjkex.metacyclic import parse_canonical as parse_metacyclic
+from conjkex.rng import SplitMix64
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
+from oracles import conjugate_via_products
 
 EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 
@@ -171,7 +174,7 @@ def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2,
     cases = [
         (g * h, HeisenbergElement(G, g.i + h.i, g.j + h.j, g.k + h.k - g.j * h.i)),
         (g.inverse(), HeisenbergElement(G, -g.i, -g.j, -g.k - g.i * g.j)),
-        (h.conjugate_by(g), h.conjugate_via_products(g)),
+        (h.conjugate_by(g), conjugate_via_products(h, g)),
     ]
     for got, want in cases:
         assert got == want and hash(got) == hash(want)
@@ -185,8 +188,8 @@ def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2,
 def portraits(draw, G):
     # Dense, or labelled on the bottom level only: the shared-zero-mask case.
     bottom = (1 << (G.leaves >> 1)) - 1
-    packed = draw(st.integers(min_value=0, max_value=G.order() - 1))
-    return G.from_packed(packed & draw(st.sampled_from([G.order() - 1, bottom])))
+    packed = draw(st.integers(min_value=0, max_value=G.order - 1))
+    return G.from_packed(packed & draw(st.sampled_from([G.order - 1, bottom])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,6 +206,28 @@ def test_tree_results_match_public_constructor(data, k):
     assert (g * h).to_permutation() == compose_perms(pg, ph)
     assert compose_perms(g.inverse().to_permutation(), pg) == tuple(range(G.leaves))
     assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+
+
+# ------------------------------------------------------------- the contract
+
+@pytest.mark.parametrize("g", ONE_PER_PLATFORM, ids=["metacyclic", "heisenberg", "tree"])
+def test_every_platform_answers_the_contract(g):
+    G = g.group
+    elements = list(G.elements())
+    assert G.order == len(elements) == G.p ** G.log_order
+    gens = G.generator_elements()
+    center = [w for w in elements if w.is_central()]
+    for w in elements:
+        assert w.is_central() == all(w * x == x * w for x in gens), w
+    indices = range(G.first_private, G.commuting_subgroup_order())
+    privates = [G.commuting_conjugator(s) for s in indices]
+    rng = SplitMix64(3)
+    for _ in range(50):
+        assert sample_private(G, rng) in privates
+    assert G.identity() in center and len(center) > 1
+    for w in [G.identity(), *center, *privates]:
+        assert not validate_base(w), w
+    assert validate_base(G.default_base())
 
 
 # ------------------------------------------------------ the shared element base

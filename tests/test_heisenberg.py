@@ -5,6 +5,7 @@ import pytest
 
 from conjkex.errors import ParamMismatchError, ParseError
 from conjkex.heisenberg import HeisenbergGroup, heisenberg_group, parse_canonical
+from oracles import conjugate_via_products
 
 
 def rewrite_multiply(g, h):
@@ -21,7 +22,7 @@ def rewrite_multiply(g, h):
 
 
 def brute_class(group, w):
-    return frozenset(w.conjugate_via_products(x) for x in group.elements())
+    return frozenset(conjugate_via_products(w, x) for x in group.elements())
 
 
 SMALL_GROUPS = [(3, 1, 1), (3, 2, 1)]  # orders 27, 81
@@ -126,7 +127,7 @@ def test_conjugate_closed_form_matches_products(p, m, n):
     elems = list(G.elements())
     for _ in range(500):
         w, x = rng.choice(elems), rng.choice(elems)
-        assert w.conjugate_by(x) == w.conjugate_via_products(x)
+        assert w.conjugate_by(x) == conjugate_via_products(w, x)
 
 
 @pytest.mark.parametrize("p,m,n", SMALL_GROUPS)

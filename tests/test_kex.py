@@ -24,6 +24,7 @@ from conjkex.kex import (
 from conjkex.metacyclic import metacyclic_group
 from conjkex.rng import SplitMix64
 from conjkex.treegroup import tree_group
+from oracles import conjugate_via_products
 
 MC = metacyclic_group(3, 2, 2)
 
@@ -94,6 +95,22 @@ def test_validate_base_per_platform(group, central):
         # Non-central, but outside <a>: b and a*b.
         assert not validate_base(group.b())
         assert not validate_base(group.a() * group.b())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tree_base_rule_matches_the_product_oracle(k):
+    # Exhaustive: a base is usable exactly when some level-(k-2)
+    # generator moves it under literal x^-1 * w * x.  The fixed ones are
+    # the 2^(2^(k-2)) level-(k-2) label sets times as many choices of
+    # equal bottom pairs, the 2 central portraits among them.
+    G = tree_group(k)
+    gens = [G.single(k - 2, pos) for pos in range(1 << (k - 2))]
+    fixed = 0
+    for w in G.elements():
+        moved = any(conjugate_via_products(w, x) != w for x in gens)
+        assert validate_base(w) == moved, w
+        fixed += not moved
+    assert fixed == 4 ** (1 << (k - 2))
 
 
 @pytest.mark.parametrize(

@@ -125,17 +125,17 @@ def test_level_subgroup_examples():
 
 
 def test_order_examples():
-    assert tree_group(2).order("S") == 8
-    assert tree_group(2).order("A") == 4
-    assert tree_group(3).order("A") == 64
+    assert tree_group(2).order == 8
+    assert tree_group(2).order >> 1 == 4
+    assert tree_group(3).order >> 1 == 64
 
 
 def test_derived_subgroup_examples():
     G2 = tree_group(2)
-    even4 = list(G2.all_elements(even_only=True))
+    even4 = list(G2.elements(even_only=True))
     assert G2.derived_subgroup(even4).order == 1  # Klein group is abelian
     G3 = tree_group(3)
-    derived = G3.derived_subgroup(G3.generators("A"))
+    derived = G3.derived_subgroup(G3.even_generators())
     assert derived.order == 8  # 2^(8-3-2)
     assert G3.derived_subgroup([G3.identity()]).elements() == frozenset({G3.identity()})
 
@@ -153,7 +153,7 @@ def test_minimal_generating_size_examples():
 @pytest.mark.parametrize("k", [2, 3])
 def test_to_permutation_is_a_homomorphism(k):
     G = tree_group(k)
-    elems = list(G.all_elements())
+    elems = list(G.elements())
     for g, h in product(elems, repeat=2):
         assert (g * h).to_permutation() == compose_perms(
             g.to_permutation(), h.to_permutation()
@@ -163,7 +163,7 @@ def test_to_permutation_is_a_homomorphism(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_parity_rule_exhaustive(k):
     G = tree_group(k)
-    for g in G.all_elements():
+    for g in G.elements():
         assert g.is_even() == perm_parity_even(g.to_permutation())
 
 
@@ -178,7 +178,7 @@ def test_parity_rule_random_k4():
 @pytest.mark.parametrize("k", [2, 3])
 def test_inverse_exhaustive(k):
     G = tree_group(k)
-    for g in G.all_elements():
+    for g in G.elements():
         assert g * g.inverse() == G.identity()
         assert g.inverse() * g == G.identity()
 
@@ -217,25 +217,25 @@ def test_level_subgroups_commute_and_have_doubling_size(k):
 def test_enumerated_orders_match_formulas():
     for k in (2, 3, 4):
         G = tree_group(k)
-        all_count = sum(1 for _ in G.all_elements())
-        even_count = sum(1 for _ in G.all_elements(even_only=True))
-        assert all_count == G.order("S") == 1 << ((1 << k) - 1)
-        assert even_count == G.order("A") == 1 << ((1 << k) - 2)
+        all_count = sum(1 for _ in G.elements())
+        even_count = sum(1 for _ in G.elements(even_only=True))
+        assert all_count == G.order == 1 << ((1 << k) - 1)
+        assert even_count == G.order >> 1 == 1 << ((1 << k) - 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_generators_generate(k):
     G = tree_group(k)
-    assert G.closure(G.generators("S")).order == G.order("S")
-    closure_a = G.closure(G.generators("A"))
-    assert closure_a.elements() == frozenset(G.all_elements(even_only=True))
+    assert G.closure(G.generator_elements()).order == G.order
+    closure_a = G.closure(G.even_generators())
+    assert closure_a.elements() == frozenset(G.elements(even_only=True))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_derived_subgroup_matches_all_pairs_brute_force(k):
     G = tree_group(k)
-    even = list(G.all_elements(even_only=True))
-    via_generators = G.derived_subgroup(G.generators("A"))
+    even = list(G.elements(even_only=True))
+    via_generators = G.derived_subgroup(G.even_generators())
     via_all_pairs = brute_all_pairs_derived(G, even)
     assert via_generators.elements() == via_all_pairs
     assert via_generators.order == len(via_all_pairs) == 1 << ((1 << k) - k - 2)
@@ -244,15 +244,15 @@ def test_derived_subgroup_matches_all_pairs_brute_force(k):
 def test_derived_subgroup_of_s_sylow():
     # sanity for the subgroup engine on a second family
     G = tree_group(3)
-    derived_s = G.derived_subgroup(G.generators("S"))
-    brute = brute_all_pairs_derived(G, list(G.all_elements()))
+    derived_s = G.derived_subgroup(G.generator_elements())
+    brute = brute_all_pairs_derived(G, list(G.elements()))
     assert derived_s.elements() == brute
 
 
 def test_min_gen_methods_agree_on_derived_subgroups():
     for k in (2, 3):
         G = tree_group(k)
-        derived = G.derived_subgroup(G.generators("A"))
+        derived = G.derived_subgroup(G.even_generators())
         fast = G.minimal_generating_size(derived)
         brute = G.minimal_generating_size_brute(derived.elements())
         assert fast == brute
@@ -264,10 +264,10 @@ def test_engine_basis_is_a_polycyclic_sequence():
     # the order 2^|basis| counts the oracle's closure.
     G3 = tree_group(3)
     rng = random.Random(7)
-    elements = list(G3.all_elements())
+    elements = list(G3.elements())
     groups = [G3.closure(rng.sample(elements, 3)) for _ in range(20)]
     G4 = tree_group(4)
-    groups.append(G4.derived_subgroup(G4.generators("A")))
+    groups.append(G4.derived_subgroup(G4.even_generators()))
     for H in groups:
         basis = H.basis
         leading = [g.packed.bit_length() for g in basis]
@@ -332,7 +332,7 @@ def test_incremental_closure_matches_scratch_closure(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_derived_subgroup_matches_every_element_normal_closure(k):
     G = tree_group(k)
-    gens = G.generators("A")
+    gens = G.even_generators()
     assert G.derived_subgroup(gens).elements() == every_element_derived(G, gens)
 
 
@@ -368,10 +368,10 @@ def test_closure_matches_scratch_closure_and_sift_is_membership(case):
     assert H.elements() == oracle
     assert H.order == len(oracle)
     if G.k <= 3:
-        candidates = list(G.all_elements())
+        candidates = list(G.elements())
     else:
         # Members and their neighbours across each generator of S.
-        candidates = [g * s for g in oracle for s in (G.identity(), *G.generators("S"))]
+        candidates = [g * s for g in oracle for s in (G.identity(), *G.generator_elements())]
     for g in candidates:
         assert (g in H) == (g in oracle)
         assert (H.sift(g).packed == 0) == (g in oracle)
@@ -404,7 +404,7 @@ DERIVED_PINS = {5: (25, 7), 6: (56, 9)}
 @pytest.mark.parametrize("k", sorted(DERIVED_PINS))
 def test_derived_order_and_rank_pinned_beyond_enumeration(k):
     G = tree_group(k)
-    gens = G.generators("A")
+    gens = G.even_generators()
     derived = G.derived_subgroup(gens)
     log_order, rank = DERIVED_PINS[k]
     assert derived.order == 1 << log_order
@@ -428,12 +428,12 @@ def test_tree_command_long_reaches_the_engine_limit(capsys):
 
 @pytest.mark.parametrize("k", [MAX_SUBGROUP_DEPTH + 1, 16, 20])
 def test_tree_command_long_refuses_before_building_generators(capsys, monkeypatch, k):
-    # generators("A") holds 2^(k-1) portraits of 2^k bits each: 64 GB at
-    # k = 20.  The refusal must come before it is called.
-    def refuse(self, variant="S"):
-        raise AssertionError(f"generators({variant!r}) built at k = {self.k}")
+    # even_generators() holds 2^(k-1) portraits of 2^k bits each: 64 GB
+    # at k = 20.  The refusal must come before it is called.
+    def refuse(self):
+        raise AssertionError(f"even_generators() built at k = {self.k}")
 
-    monkeypatch.setattr(TreeSylowGroup, "generators", refuse)
+    monkeypatch.setattr(TreeSylowGroup, "even_generators", refuse)
     assert main(["tree", "-k", str(k), "--long"]) == 2
     assert capsys.readouterr().err == (
         f"error: subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}\n"
@@ -443,19 +443,19 @@ def test_tree_command_long_refuses_before_building_generators(capsys, monkeypatc
 @pytest.mark.parametrize("k", [2, 3])
 def test_conjugacy_class_and_center_match_brute_force(k):
     G = tree_group(k)
-    elements = list(G.all_elements())
+    elements = list(G.elements())
     for w in elements:
         brute = frozenset(x.inverse() * w * x for x in elements)
         assert G.conjugacy_class(w) == brute
-        assert G.is_central(w) == (len(brute) == 1)
-    center = {w for w in elements if G.is_central(w)}
+        assert w.is_central() == (len(brute) == 1)
+    center = {w for w in elements if w.is_central()}
     all_bottom = G.from_level_masks({k - 1: (1 << (1 << (k - 1))) - 1})
     assert center == {G.identity(), all_bottom}
 
 
 def commutes_with_generators(G, w):
     """Oracle: w is central iff it commutes with every S-generator."""
-    return all(w * g == g * w for g in G.generators("S"))
+    return all(w * g == g * w for g in G.generator_elements())
 
 
 @pytest.mark.parametrize("k", range(5, 13))
@@ -472,8 +472,8 @@ def test_closed_form_center_matches_generator_oracle(k):
             cases.append(G.single(level, pos))
     cases += [random_portrait(G, rng) for _ in range(8)]
     for w in cases:
-        assert G.is_central(w) == commutes_with_generators(G, w), w
-    assert G.is_central(all_bottom) and G.is_central(G.identity())
+        assert w.is_central() == commutes_with_generators(G, w), w
+    assert all_bottom.is_central() and G.identity().is_central()
 
 
 @pytest.mark.parametrize("k", [14, MAX_DEPTH])
@@ -530,14 +530,14 @@ def test_depth_and_level_errors():
     with pytest.raises(LevelOutOfRangeError):
         tree_group(3).level_subgroup(3)
     with pytest.raises(DepthTooLargeError):
-        list(tree_group(5).all_elements())
+        list(tree_group(5).elements())
     beyond = tree_group(MAX_SUBGROUP_DEPTH + 1)
     with pytest.raises(DepthTooLargeError):
         beyond.derived_subgroup([beyond.identity()])
     with pytest.raises(DepthTooLargeError):
         beyond.closure([beyond.identity()])
     with pytest.raises(TooLargeError):
-        tree_group(5).derived_subgroup(tree_group(5).generators("A")).elements()
+        tree_group(5).derived_subgroup(tree_group(5).even_generators()).elements()
     with pytest.raises(ValueError):
         tree_group(0)
     with pytest.raises(ValueError):
@@ -728,7 +728,7 @@ def conjugate_via_products(w, x):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_conjugate_by_matches_products_on_all_pairs(k):
     G = tree_group(k)
-    elements = list(G.all_elements())
+    elements = list(G.elements())
     for w, x in product(elements, repeat=2):
         assert w.conjugate_by(x) == conjugate_via_products(w, x)
 
@@ -745,7 +745,7 @@ def test_conjugate_by_matches_products_on_dense_pairs(k):
 def sparse_shapes(G):
     """Each single-vertex generator, a level-(k-2) key and the bottom-swap
     base: the left factors whose masks are empty or short."""
-    shapes = list(G.generators("S"))
+    shapes = list(G.generator_elements())
     if G.k >= 2:
         key = G.commuting_conjugator(random.Random(G.k).randrange(G.commuting_subgroup_order()))
         shapes.append(key)
