@@ -136,7 +136,8 @@ class Element:
     """Base of the platform elements: immutable values of one group.
 
     A subclass declares its `__slots__`, with `group` among them, and
-    sets them through the slot descriptors, since `__setattr__` refuses.
+    sets them through the slot descriptors or on its `mutable_twin`,
+    since `__setattr__` refuses.
     """
 
     __slots__ = ()
@@ -166,6 +167,20 @@ class Element:
         return self * other == other * self
 
 
+def mutable_twin(element_class) -> type:
+    """A class with `element_class`'s base and slots and plain attribute
+    assignment, for a private constructor to fill: it sets the fields
+    as ordinary attributes, then assigns `element_class` to the new
+    object's `__class__`, after which `Element.__setattr__` refuses
+    every further assignment.  That is faster than setting each slot
+    through its descriptor on an `object.__new__` instance."""
+    return type(
+        f"_Mutable{element_class.__name__}",
+        element_class.__bases__,
+        {"__slots__": element_class.__slots__, "__setattr__": object.__setattr__},
+    )
+
+
 class PGroup(Group):
     """Base of the two minimal non-abelian p-group platforms.
 
@@ -179,7 +194,9 @@ class PGroup(Group):
 
     A subclass sets `kind`, `prefix` (of its canonical strings),
     `min_m`, `exponent_names`, its `element_class` and that class's
-    `_make` (see `PElement`), which defaults the exponents after j to 0.
+    `_make` (see `PElement`), which defaults the exponents after j to 0,
+    and writes `_conjugates(w)`, the p members of a non-central w's
+    class in closed form.
     """
 
     param_names = ("p", "m", "n")
@@ -221,6 +238,17 @@ class PGroup(Group):
             raise TooLargeError(f"|G| = {self.order} is beyond enumeration")
         return starmap(self._make, product((self,), *map(range, self.moduli)))
 
+    def conjugacy_class(self, w, cap: int | None = None) -> frozenset:
+        """Closed form: a central w is a singleton class, and any other
+        w has the p conjugates `_conjugates(w)`.  A class larger than
+        `cap` raises CapExceededError before it is built."""
+        self._own(w)
+        if w.is_central():
+            return frozenset({w})
+        if cap is not None and self.p > cap:
+            raise CapExceededError(f"class size {self.p} exceeds cap {cap}")
+        return frozenset(self._conjugates(w))
+
     def center_order(self) -> int:
         return self.order // self.p ** 2
 
@@ -257,7 +285,8 @@ class PElement(Element):
     Products, inverses, conjugates and the group's enumerations build
     their results with the private `_make`, which stores exponents that
     are in range by construction (each is reduced where it is computed)
-    and skips `__init__`.
+    and skips `__init__`: it fills the element class's `mutable_twin`
+    and then gives it the element class.
     """
 
     __slots__ = ()

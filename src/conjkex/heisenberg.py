@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import PElement, PGroup, canonical_parser
-from .errors import CapExceededError, TooLargeError
+from .core import PElement, PGroup, canonical_parser, mutable_twin
+from .errors import TooLargeError
 
 
 class HeisenbergElement(PElement):
@@ -75,20 +75,21 @@ class HeisenbergElement(PElement):
         return hash((self.i, self.j, self.k))
 
 
-_new = object.__new__
 _set_group = HeisenbergElement.group.__set__
 _set_i = HeisenbergElement.i.__set__
 _set_j = HeisenbergElement.j.__set__
 _set_k = HeisenbergElement.k.__set__
+_MutableHeisenbergElement = mutable_twin(HeisenbergElement)
 
 
 def _make(group: HeisenbergGroup, i: int, j: int, k: int = 0) -> HeisenbergElement:
     """Private constructor: i, j and k must already be reduced."""
-    g = _new(HeisenbergElement)
-    _set_group(g, group)
-    _set_i(g, i)
-    _set_j(g, j)
-    _set_k(g, k)
+    g = _MutableHeisenbergElement()
+    g.group = group
+    g.i = i
+    g.j = j
+    g.k = k
+    g.__class__ = HeisenbergElement
     return g
 
 
@@ -108,16 +109,9 @@ class HeisenbergGroup(PGroup):
     def generator_elements(self) -> list[HeisenbergElement]:
         return [self.a(), self.b(), self.c()]
 
-    def conjugacy_class(self, w: HeisenbergElement, cap: int | None = None) -> frozenset:
-        """Closed form: conjugation sweeps the c-exponent over Z_p unless
-        w is central, in which case the class is a singleton.  A class
-        larger than `cap` raises CapExceededError before it is built."""
-        self._own(w)
-        if w.is_central():
-            return frozenset({w})
-        if cap is not None and self.p > cap:
-            raise CapExceededError(f"class size {self.p} exceeds cap {cap}")
-        return frozenset(_make(self, w.i, w.j, k) for k in range(self.p))
+    def _conjugates(self, w: HeisenbergElement):
+        # Conjugation sweeps the c-exponent over Z_p.
+        return (_make(self, w.i, w.j, k) for k in range(self.p))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import PElement, PGroup, canonical_parser
+from .core import PElement, PGroup, canonical_parser, mutable_twin
 from .errors import NoSolutionError, TooLargeError
 
 
@@ -74,18 +74,19 @@ class MetaElement(PElement):
         return hash((self.i, self.j))
 
 
-_new = object.__new__
 _set_group = MetaElement.group.__set__
 _set_i = MetaElement.i.__set__
 _set_j = MetaElement.j.__set__
+_MutableMetaElement = mutable_twin(MetaElement)
 
 
 def _make(group: MetacyclicGroup, i: int, j: int) -> MetaElement:
     """Private constructor: i and j must already be reduced."""
-    g = _new(MetaElement)
-    _set_group(g, group)
-    _set_i(g, i)
-    _set_j(g, j)
+    g = _MutableMetaElement()
+    g.group = group
+    g.i = i
+    g.j = j
+    g.__class__ = MetaElement
     return g
 
 
@@ -142,6 +143,13 @@ class MetacyclicGroup(PGroup):
 
     def generator_elements(self) -> list[MetaElement]:
         return [self.a(), self.b()]
+
+    def _conjugates(self, w: MetaElement):
+        # Conjugation by b and by a shifts i by i*p^(m-1) and by
+        # -j*p^(m-1); i or j is a unit mod p when w is not central, so
+        # the shifts reach every multiple of p^(m-1).
+        step = self.twist - 1
+        return (_make(self, (w.i + s * step) % self.pm, w.j) for s in range(self.p))
 
 
 @lru_cache(maxsize=None)

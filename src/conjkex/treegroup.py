@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import Element, Group
+from .core import Element, Group, mutable_twin
 from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
@@ -457,18 +457,19 @@ class Portrait(Element):
         return f"Portrait(k={self.group.k}, bits={self.packed:#x})"
 
 
-_new = object.__new__
 _set_group = Portrait.group.__set__
 _set_packed = Portrait.packed.__set__
 _set_masks = Portrait._masks.__set__
+_MutablePortrait = mutable_twin(Portrait)
 
 
 def _make(group: TreeSylowGroup, packed: int) -> Portrait:
     """Private constructor: `packed` must already fit the tree."""
-    g = _new(Portrait)
-    _set_group(g, group)
-    _set_packed(g, packed)
-    _set_masks(g, None)
+    g = _MutablePortrait()
+    g.group = group
+    g.packed = packed
+    g._masks = None
+    g.__class__ = Portrait
     return g
 
 

@@ -5,9 +5,10 @@ engine (never by the closed forms under test), places it beside the
 predicted value, and reports pass/fail.  The measurement routes
 deliberately use only element multiplication and inversion, which the
 test suite pins against independent rewriting/permutation oracles.
-The largest suite, theorems, measures every class of each group in one
-sweep of products over its elements, with the conjugation action kept
-as index tables rather than element sets.
+The two metacyclic suites, theorems and center, read the conjugation
+action off index tables, one per generator, that products fill in
+2|G| + 2(p^m + p^n) + 4 products per group; the classes and the centre
+are then closed and counted over the tables, with no element sets.
 """
 
 from __future__ import annotations
@@ -69,13 +70,40 @@ def default_param_grid(max_order: int = DEFAULT_MAX_ORDER) -> list[tuple[int, in
 measured_class = conjugation_orbit
 
 
-def measured_center(group) -> set:
-    gens = group.generator_elements()
-    return {
-        g
-        for g in group.elements()
-        if all(g * x == x * g for x in gens)
-    }
+def _conjugation_tables(group) -> list[array]:
+    """For each generator x of a metacyclic group, the table of
+    h -> x^-1 * h * x over G, by index: entry i * p^n + j is the index
+    of the conjugate of a^i b^j.
+
+    Conjugation by x is an automorphism, so the conjugate of a^i b^j is
+    A^i * B^j with A = x^-1 a x and B = x^-1 b x.  A table costs 4
+    products for A and B, p^m - 1 and p^n - 1 for their powers, and one
+    per element, and it is filled one row of p^n entries at a time.
+    """
+    a, b, pn = group.a(), group.b(), group.pn
+    tables = []
+    for x, x_inv in conjugation_pairs(group.generator_elements()):
+        b_powers = _powers(x_inv * b * x, pn)
+        table = array("l")
+        for a_power in _powers(x_inv * a * x, group.pm):
+            table.extend([(g := a_power * b_power).i * pn + g.j for b_power in b_powers])
+        tables.append(table)
+    return tables
+
+
+def _powers(g, count: int) -> list:
+    """[g^0, g^1, ..., g^(count-1)], in count - 1 products."""
+    out = [g.group.identity()]
+    for _ in range(count - 1):
+        out.append(out[-1] * g)
+    return out
+
+
+def _fixed_points(tables) -> set[int]:
+    """The indices that every table maps to themselves: with generator
+    tables, those of the centre."""
+    first, *rest = tables
+    return {h for h, image in enumerate(first) if image == h and all(t[h] == h for t in rest)}
 
 
 def _claim(claim_id, params, paper_value, measured_value, started) -> ClaimResult:
@@ -98,35 +126,18 @@ def class_size_claims(
     """Every non-central class has size exactly p; central classes are
     singletons.  Exhaustive over each group in the grid.
 
-    One streamed pass over `group.elements()` serves both halves of the
-    claim.  For each element h and generator pair (x, x^-1) it forms
-    hx = h * x; h commutes with x when hx == x * h, and x * h is formed
-    only while h still commutes with every earlier generator.  The
-    conjugate x^-1 * hx is stored by its index i * p^n + j in x's table,
-    an `array` of |G| ints, and the central flag in a `bytearray`.  The
-    classes are then closed over those tables, one closure per class,
-    and each member contributes its own flag and its class size, so
-    "central => singleton" is measured for every element.  Cost per
-    group: 5|G| + |C_G(a)| products, two inverses, and no element sets
-    or hashing.
+    Both halves are read off `_conjugation_tables`: the classes are
+    closed over the tables, one closure per class, and an element is
+    central when every table fixes it, so "central => singleton" is
+    measured for every element.  Cost per group: 2|G| + 2(p^m + p^n) + 4
+    products, two inverses, and no element sets.
     """
     results = []
     for p, m, n in grid if grid is not None else default_param_grid(max_order):
         started = time.perf_counter()
         group = metacyclic_group(p, m, n)
-        pn = group.pn
-        pairs = conjugation_pairs(group.generator_elements())
-        tables = [array("l", [0]) * group.order for _ in pairs]
-        central = bytearray(group.order)
-        for h in group.elements():
-            index = h.i * pn + h.j
-            commutes = True
-            for table, (x, x_inv) in zip(tables, pairs):
-                hx = h * x
-                commutes = commutes and hx == x * h
-                conj = x_inv * hx
-                table[index] = conj.i * pn + conj.j
-            central[index] = commutes
+        tables = _conjugation_tables(group)
+        central = _fixed_points(tables)
         sizes = {True: set(), False: set()}  # central -> observed sizes
         placed = bytearray(group.order)
         for start in range(group.order):
@@ -141,7 +152,7 @@ def class_size_claims(
                         placed[image] = 1
                         cls.append(image)
             for index in cls:
-                sizes[central[index] == 1].add(len(cls))
+                sizes[index in central].add(len(cls))
         measured = (
             f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
         )
@@ -156,12 +167,17 @@ def center_claims(
     grid: Iterable[tuple[int, int, int]] | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> list[ClaimResult]:
-    """|Z(G)| = p^(m+n-2), and Z(G) is exactly <a^p, b^p>."""
+    """|Z(G)| = p^(m+n-2), and Z(G) is exactly <a^p, b^p>.
+
+    Z(G) is measured as the elements that every generator's
+    `_conjugation_tables` table fixes, and compared by index with
+    `center_elements()`.
+    """
     results = []
     for p, m, n in grid if grid is not None else default_param_grid(max_order):
         group = metacyclic_group(p, m, n)
         started = time.perf_counter()
-        center = measured_center(group)
+        center = _fixed_points(_conjugation_tables(group))
         results.append(
             _claim(
                 "center.order",
@@ -172,7 +188,7 @@ def center_claims(
             )
         )
         started = time.perf_counter()
-        generated = set(group.center_elements())
+        generated = {g.i * group.pn + g.j for g in group.center_elements()}
         results.append(
             _claim(
                 "center.subgroup",

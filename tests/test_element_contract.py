@@ -26,6 +26,7 @@ from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
 from conjkex.metacyclic import parse_canonical as parse_metacyclic
 from conjkex.rng import SplitMix64
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
+from conjkex.treegroup import parse_canonical as parse_tree
 from oracles import conjugate_via_products
 
 EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
@@ -37,7 +38,7 @@ def compose_perms(p, q):
 
 
 def assert_immutable(g, *names):
-    for name in names:
+    for name in (*names, "__class__"):
         with pytest.raises(AttributeError):
             setattr(g, name, 0)
 
@@ -156,9 +157,11 @@ def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
         (g * h, MetaElement(G, g.i + h.i * t(g.j), g.j + h.j)),
         (g.inverse(), MetaElement(G, -g.i * t(-g.j), -g.j)),
         (h.conjugate_by(g), MetaElement(G, h.i * t(g.j) + g.i * (1 - t(h.j)), h.j)),
+        (parse_metacyclic(g.canonical()), g),
     ]
     for got, want in cases:
         assert got == want and hash(got) == hash(want)
+        assert type(got) is MetaElement
         assert 0 <= got.i < G.pm and 0 <= got.j < G.pn
         assert got.group is G
         assert_immutable(got, "group", "i", "j")
@@ -175,9 +178,11 @@ def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2,
         (g * h, HeisenbergElement(G, g.i + h.i, g.j + h.j, g.k + h.k - g.j * h.i)),
         (g.inverse(), HeisenbergElement(G, -g.i, -g.j, -g.k - g.i * g.j)),
         (h.conjugate_by(g), conjugate_via_products(h, g)),
+        (parse_heisenberg(g.canonical()), g),
     ]
     for got, want in cases:
         assert got == want and hash(got) == hash(want)
+        assert type(got) is HeisenbergElement
         assert 0 <= got.i < G.pm and 0 <= got.j < G.pn and 0 <= got.k < G.p
         assert got.group is G
         assert_immutable(got, "group", "i", "j", "k")
@@ -198,9 +203,10 @@ def test_tree_results_match_public_constructor(data, k):
     G = tree_group(k)
     g, h = data.draw(portraits(G)), data.draw(portraits(G))
     pg, ph = g.to_permutation(), h.to_permutation()
-    for got in (g * h, g.inverse(), h.conjugate_by(g)):
+    for got in (g * h, g.inverse(), h.conjugate_by(g), parse_tree(g.canonical())):
         want = Portrait(G, got.packed)  # raises if out of range
         assert got == want and hash(got) == hash(want)
+        assert type(got) is Portrait
         assert got.group is G
         assert_immutable(got, "group", "packed", "_masks")
     assert (g * h).to_permutation() == compose_perms(pg, ph)
@@ -215,6 +221,7 @@ def test_every_platform_answers_the_contract(g):
     G = g.group
     elements = list(G.elements())
     assert G.order == len(elements) == G.p ** G.log_order
+    assert {type(w) for w in elements} == {type(g)}
     gens = G.generator_elements()
     center = [w for w in elements if w.is_central()]
     for w in elements:

@@ -57,14 +57,14 @@ def per_element_class_sizes(p, m, n):
     return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
 
 
-@pytest.mark.parametrize("params, products", [((3, 2, 1), 144), ((5, 2, 1), 650)])
-def test_class_size_claims_make_one_product_sweep(monkeypatch, params, products):
-    # 5|G| + |C_G(a)|: 5 * 27 + 9 and 5 * 125 + 25.  Two products and a
-    # commutation test per element and generator, and the test against b
-    # only for the elements that commute with a.
-    group = metacyclic_group(*params)
-    centralizer = sum(1 for g in group.elements() if g * group.a() == group.a() * g)
-    assert products == 5 * group.order + centralizer
+@pytest.mark.parametrize("params, products", [((3, 2, 1), 82), ((5, 2, 1), 314)])
+@pytest.mark.parametrize("suite", [class_size_claims, center_claims])
+def test_metacyclic_suites_fill_conjugation_tables(monkeypatch, suite, params, products):
+    # 2|G| + 2(p^m + p^n) + 4 per suite: 54 + 24 + 4 and 250 + 60 + 4.
+    # Per generator: 4 products for the images of a and b, p^m - 1 and
+    # p^n - 1 for their powers, and one per element.
+    p, m, n = params
+    assert products == 2 * p ** (m + n) + 2 * (p ** m + p ** n) + 4
     calls = []
     real = MetaElement.__mul__
 
@@ -73,32 +73,15 @@ def test_class_size_claims_make_one_product_sweep(monkeypatch, params, products)
         return real(self, other)
 
     monkeypatch.setattr(MetaElement, "__mul__", counting)
-    [result] = class_size_claims(grid=[params])
-    assert result.passed
+    results = suite(grid=[params])
+    assert results and all(r.passed for r in results)
     assert len(calls) == products
 
 
-def test_class_size_claims_fail_when_products_fake_commutation(monkeypatch):
-    # x * h returns h * x for a generator x and any other h: every element
-    # outside <a> and <b> reads as central, while conjugation is intact.
-    group = metacyclic_group(3, 2, 1)
-    gens = group.generator_elements()
-    real = MetaElement.__mul__
-
-    def faking(self, other):
-        if self in gens and other not in gens:
-            return real(other, self)
-        return real(self, other)
-
-    monkeypatch.setattr(MetaElement, "__mul__", faking)
-    [result] = class_size_claims(grid=[(3, 2, 1)])
-    assert not result.passed
-    assert result.measured_value == "central:[1, 3];noncentral:[3]"
-
-
-def test_class_size_claims_fail_when_products_break_conjugation(monkeypatch):
-    # x^-1 * g returns g for a generator's inverse: the "conjugate" of h
-    # is h * x, so one class swallows the group.  Centrality is intact.
+def test_metacyclic_suites_fail_when_products_break_conjugation(monkeypatch):
+    # x^-1 * g returns g for a generator's inverse: the images of a and
+    # b under "conjugation" by x become a * x and b * x.  Classes, the
+    # central flags and the centre all come from those tables.
     group = metacyclic_group(3, 2, 1)
     inverses = [x.inverse() for x in group.generator_elements()]
     real = MetaElement.__mul__
@@ -107,9 +90,25 @@ def test_class_size_claims_fail_when_products_break_conjugation(monkeypatch):
         return other if self in inverses else real(self, other)
 
     monkeypatch.setattr(MetaElement, "__mul__", breaking)
-    [result] = class_size_claims(grid=[(3, 2, 1)])
-    assert not result.passed
-    assert result.measured_value == "central:[27];noncentral:[27]"
+    results = class_size_claims(grid=[(3, 2, 1)]) + center_claims(grid=[(3, 2, 1)])
+    assert [(r.claim_id, r.measured_value, r.passed) for r in results] == [
+        ("conjugacy.class-sizes", "central:[1, 10];noncentral:[1, 2, 3, 5, 10]", False),
+        ("center.order", "2", False),
+        ("center.subgroup", "Z(G) != <a^p,b^p>", False),
+    ]
+
+
+@pytest.mark.parametrize("params", ORACLE_GRID)
+def test_conjugation_tables_match_literal_conjugates(params):
+    group = metacyclic_group(*params)
+    pairs = verify.conjugation_pairs(group.generator_elements())
+    tables = verify._conjugation_tables(group)
+    assert len(tables) == len(pairs)
+    for table, (x, x_inv) in zip(tables, pairs):
+        assert len(table) == group.order
+        for h in group.elements():
+            conj = x_inv * h * x
+            assert table[h.i * group.pn + h.j] == conj.i * group.pn + conj.j
 
 
 def test_class_size_values_match_per_element_loop():
