@@ -20,7 +20,7 @@ import sys
 
 from . import cryptanalysis, kex, verify
 from .core import PGroup
-from .errors import ConjKexError, DepthTooLargeError, TranscriptError
+from .errors import ConjKexError, DepthTooLargeError, PlatformMismatchError, TranscriptError
 from .treegroup import MAX_SUBGROUP_DEPTH, tree_group
 
 EXIT_OK = 0
@@ -96,25 +96,17 @@ def _group_from_args(args) -> object:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        group = _group_from_args(args)
-        if args.base is not None:
-            base = kex.parse_element(args.base)
-            if base.group != group:
-                raise ValueError("--base does not match the platform parameters")
-        else:
-            base = group.default_base()
-        result = kex.run_demo(base, args.seed_a, args.seed_b, debug_key=args.debug_key)
-    except (ConjKexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    group = _group_from_args(args)
+    if args.base is not None:
+        base = kex.parse_element(args.base)
+        if base.group != group:
+            raise ValueError("--base does not match the platform parameters")
+    else:
+        base = group.default_base()
+    result = kex.run_demo(base, args.seed_a, args.seed_b, debug_key=args.debug_key)
     if args.transcript:
-        try:
-            with open(args.transcript, "w", encoding="utf-8") as fh:
-                fh.write(result.transcript.to_text())
-        except (OSError, ValueError) as exc:  # open() refuses a path with a NUL byte
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(args.transcript, "w", encoding="utf-8") as fh:
+            fh.write(result.transcript.to_text())
     print(
         json.dumps(
             {
@@ -133,11 +125,7 @@ def _cmd_demo(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    try:
-        results = verify.run_suites(names, long=args.long, max_order=args.max_order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = verify.run_suites(names, long=args.long, max_order=args.max_order)
     for r in results:
         print(r.to_json())
     print(verify.summary_table(results), file=sys.stderr)
@@ -146,24 +134,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_attack(args) -> int:
     try:
-        try:
-            with open(args.transcript, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TranscriptError(f"transcript is not UTF-8: {exc}") from None
-        except ValueError as exc:  # open() refuses a path with a NUL byte
-            raise TranscriptError(str(exc)) from None
-        transcript = kex.Transcript.from_text(text)
-        if transcript.platform() != "metacyclic":
-            raise TranscriptError("attack supports metacyclic transcripts only")
-        w = transcript.base_element()
-        w_x = transcript.public_from("alice")
-        w_y = transcript.public_from("bob")
-        honest = transcript.debug_key()
-        report = cryptanalysis.bsgs_break(w, w_x, w_y)
-    except (ConjKexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        with open(args.transcript, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TranscriptError(f"transcript is not UTF-8: {exc}") from None
+    transcript = kex.Transcript.from_text(text)
+    if transcript.platform() != "metacyclic":
+        raise TranscriptError("attack supports metacyclic transcripts only")
+    w = transcript.base_element()
+    w_x = transcript.public_from("alice")
+    w_y = transcript.public_from("bob")
+    honest = transcript.debug_key()
+    report = cryptanalysis.bsgs_break(w, w_x, w_y)
     print(report.to_json())
     if report.recovered_key != honest:
         print("recovered key does not match the honest key", file=sys.stderr)
@@ -172,20 +154,16 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_element(args) -> int:
-    try:
-        if args.mul:
-            g, h = (kex.parse_element(s) for s in args.mul)
-            result = g * h
-        elif args.inv:
-            result = kex.parse_element(args.inv[0]).inverse()
-        else:
-            w, x = (kex.parse_element(s) for s in args.conj)
-            result = w.conjugate_by(x)
-        text = result.canonical()
-    except (ConjKexError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(text)
+    g, *others = map(kex.parse_element, args.mul or args.inv or args.conj)
+    if any(type(h) is not type(g) for h in others):
+        raise PlatformMismatchError("elements come from different platforms")
+    if args.mul:
+        result = g * others[0]
+    elif args.inv:
+        result = g.inverse()
+    else:
+        result = g.conjugate_by(others[0])
+    print(result.canonical())
     return EXIT_OK
 
 
@@ -203,54 +181,42 @@ def _decimal(power_of_two: int) -> str:
 
 
 def _cmd_tree(args) -> int:
-    try:
-        group = tree_group(args.k)
-        facts = {
-            "k": str(args.k),
-            "s_order": _decimal(group.order),
-            "a_order": _decimal(group.order >> 1),
-            "level_subgroup_orders": [
-                _decimal(group.level_subgroup_order(level)) for level in range(args.k)
-            ],
-        }
-        if args.k <= 3 or args.long:
-            # Refused before even_generators() builds 2^(k-1) portraits.
-            if args.k > MAX_SUBGROUP_DEPTH:
-                raise DepthTooLargeError(
-                    f"subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}"
-                )
-            derived = group.derived_subgroup(group.even_generators())
-            facts["derived_order"] = _decimal(derived.order)
-            facts["derived_min_generators"] = str(
-                group.minimal_generating_size(derived)
-            )
-    except (ConjKexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    group = tree_group(args.k)
+    facts = {
+        "k": str(args.k),
+        "s_order": _decimal(group.order),
+        "a_order": _decimal(group.order >> 1),
+        "level_subgroup_orders": [
+            _decimal(group.level_subgroup_order(level)) for level in range(args.k)
+        ],
+    }
+    if args.k <= 3 or args.long:
+        # Refused before even_generators() builds 2^(k-1) portraits.
+        if args.k > MAX_SUBGROUP_DEPTH:
+            raise DepthTooLargeError(f"subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}")
+        derived = group.derived_subgroup(group.even_generators())
+        facts["derived_order"] = _decimal(derived.order)
+        facts["derived_min_generators"] = str(group.minimal_generating_size(derived))
     print(json.dumps(facts, separators=(",", ":")))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    try:
-        group = _group_from_args(args)
-        histogram = cryptanalysis.orbit_stats(group, cap=args.cap)
-        stats: dict = {
-            "platform": args.platform,
-            "class_sizes": {str(size): count for size, count in sorted(histogram.items())},
-        }
-        if isinstance(group, PGroup):
-            base = group.default_base()
-            orbit = len(group.conjugacy_class(base))
-            stats["center_order"] = str(group.center_order())
-            stats["base_orbit_size"] = str(orbit)
-            stats["note"] = (
-                "the derived key ranges over the base's conjugation orbit "
-                f"({orbit} values), not over the center-sized key space"
-            )
-    except (ConjKexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    group = _group_from_args(args)
+    histogram = cryptanalysis.orbit_stats(group, cap=args.cap)
+    stats: dict = {
+        "platform": args.platform,
+        "class_sizes": {str(size): count for size, count in sorted(histogram.items())},
+    }
+    if isinstance(group, PGroup):
+        base = group.default_base()
+        orbit = len(group.conjugacy_class(base))
+        stats["center_order"] = str(group.center_order())
+        stats["base_orbit_size"] = str(orbit)
+        stats["note"] = (
+            "the derived key ranges over the base's conjugation orbit "
+            f"({orbit} values), not over the center-sized key space"
+        )
     print(json.dumps(stats, separators=(",", ":")))
     return EXIT_OK
 
@@ -267,7 +233,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    # The one error boundary: malformed input, refused parameters and
+    # unreadable or unwritable files (open() refuses a path with a NUL
+    # byte with a ValueError) are usage errors.
+    try:
+        return _HANDLERS[args.command](args)
+    except (ConjKexError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

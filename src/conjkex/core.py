@@ -8,8 +8,7 @@ normal form, so element equality compares fields.  Every group answers:
 - `p`, `log_order` and `order`: every platform is a p-group, and
   |G| = p^log_order;
 - `identity()`, `generator_elements()` (a generating set), `elements()`
-  (an enumeration, refused past a size limit) and
-  `conjugacy_class(w, cap)`;
+  (an enumeration, refused past a size limit) and `conjugacy_class(w)`;
 - the key exchange's policies: the commuting subgroup the privates come
   from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
   s from `first_private` on), `default_base()` and `usable_base(w)`.
@@ -25,9 +24,13 @@ classes derive from `Element`, which gives them immutability, the
 operand check, powers and commutation.  Each platform writes its own
 `__mul__`, `inverse` and `conjugate_by`: they are the hot paths.
 
-The two p-group platforms share more: `PGroup` and `PElement` hold
-their parameters, normal form, enumeration, centre and key-exchange
-roles, and `canonical_parser` builds their strict parsers.
+The two p-group platforms share more.  `PGroup` holds their parameters
+(refusing a p^m or p^n too long to print), normal form, enumeration,
+centre and key-exchange roles.  `PElement` derives from each element
+class's `__slots__` its public constructor, its text form
+`canonical()`, equality and hash, so a p-group element class writes
+only its slots, its algebra and its private `_make`.
+`canonical_parser` builds their strict parsers.
 
 Conjugation convention: `w.conjugate_by(x)` is x^-1 * w * x on the
 heisenberg and tree platforms, and x * w * x^-1 on the metacyclic one,
@@ -40,17 +43,19 @@ from __future__ import annotations
 
 import re
 from itertools import product, starmap
+from operator import attrgetter
 
 from .arith import is_probable_prime
-from .errors import (
-    CapExceededError,
-    ConjKexError,
-    ParamMismatchError,
-    ParseError,
-    TooLargeError,
-)
+from .errors import ConjKexError, ParamMismatchError, ParseError, TooLargeError
 
 ENUMERATION_CAP = 10 ** 6
+# Python converts ints of at most 4300 decimal digits to and from text, so
+# p^m and p^n stay below 10^4300 and every exponent of a p-group prints.
+# _TEXT_BITS, the bit length of 10^4300, refuses most larger groups
+# before their powers are built.
+_TEXT_BOUND = 10 ** 4300
+_TEXT_BITS = _TEXT_BOUND.bit_length()
+_TOO_LARGE = "p^m and p^n must be below 10^4300, so that every exponent prints"
 
 
 def conjugation_pairs(conjugators) -> list:
@@ -58,15 +63,14 @@ def conjugation_pairs(conjugators) -> list:
     return [(x, x.inverse()) for x in conjugators]
 
 
-def conjugation_orbit(w, pairs, cap: int | None = None) -> frozenset:
+def conjugation_orbit(w, pairs) -> frozenset:
     """Orbit of w under x^-1 * w * x for every (x, x^-1) in `pairs`,
     using nothing but element products.
 
     With generators as the conjugators this is w's conjugacy class: in
     a finite group, a set closed under conjugation by each generator is
-    closed under conjugation by the group.  Raises CapExceededError as
-    soon as the orbit would grow past `cap` elements.  A caller that
-    closes many orbits builds `pairs` once per group.
+    closed under conjugation by the group.  A caller that closes many
+    orbits builds `pairs` once per group.
     """
     seen = {w}
     frontier = [w]
@@ -75,8 +79,6 @@ def conjugation_orbit(w, pairs, cap: int | None = None) -> frozenset:
         for x, x_inv in pairs:
             conj = x_inv * g * x
             if conj not in seen:
-                if cap is not None and len(seen) >= cap:
-                    raise CapExceededError(f"class grew past cap {cap}")
                 seen.add(conj)
                 frontier.append(conj)
     return frozenset(seen)
@@ -114,10 +116,10 @@ class Group:
         """The error for combining elements of this group and `other`."""
         return ParamMismatchError("elements built under different parameters")
 
-    def conjugacy_class(self, w, cap: int | None = None) -> frozenset:
+    def conjugacy_class(self, w) -> frozenset:
         """Class of w, closed under conjugation by the generators."""
         self._own(w)
-        return conjugation_orbit(w, conjugation_pairs(self.generator_elements()), cap)
+        return conjugation_orbit(w, conjugation_pairs(self.generator_elements()))
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -173,11 +175,16 @@ def mutable_twin(element_class) -> type:
     as ordinary attributes, then assigns `element_class` to the new
     object's `__class__`, after which `Element.__setattr__` refuses
     every further assignment.  That is faster than setting each slot
-    through its descriptor on an `object.__new__` instance."""
+    through its descriptor.  `object.__init__` keeps the twin's call as
+    cheap as a bare allocation when the base has a public `__init__`."""
     return type(
         f"_Mutable{element_class.__name__}",
         element_class.__bases__,
-        {"__slots__": element_class.__slots__, "__setattr__": object.__setattr__},
+        {
+            "__slots__": element_class.__slots__,
+            "__setattr__": object.__setattr__,
+            "__init__": object.__init__,
+        },
     )
 
 
@@ -190,24 +197,29 @@ class PGroup(Group):
     multiplication law differs.  <b> is the key exchange's commuting
     subgroup, drawn from b^1 on (b^0 would fix every base), and a is
     the default base.  An element is central exactly when p divides
-    both i and j.
+    both i and j.  A group whose p^m or p^n reaches 10^4300 is refused
+    with TooLargeError, so every exponent prints.
 
     A subclass sets `kind`, `prefix` (of its canonical strings),
-    `min_m`, `exponent_names`, its `element_class` and that class's
-    `_make` (see `PElement`), which defaults the exponents after j to 0,
-    and writes `_conjugates(w)`, the p members of a non-central w's
-    class in closed form.
+    `min_m`, its `element_class` and that class's `_make` (see
+    `PElement`), which defaults the exponents after j to 0, and writes
+    `_conjugates(w)`, the p members of a non-central w's class in
+    closed form.
     """
 
     param_names = ("p", "m", "n")
     first_private = 1
     prefix: str
     min_m: int
-    exponent_names: tuple[str, ...]
 
     def __init__(self, p: int, m: int, n: int):
         if m < self.min_m or n < 1:
             raise ValueError(f"presentation requires m >= {self.min_m} and n >= 1")
+        # p^e >= 2^(e * (bit_length(p) - 1)), so this refuses before any
+        # power or primality test is computed, and the powers built below
+        # stay under 2^(2 * _TEXT_BITS).
+        if p > 2 and max(m, n) * (p.bit_length() - 1) >= _TEXT_BITS:
+            raise TooLargeError(_TOO_LARGE)
         if p < 3 or not is_probable_prime(p):
             raise ValueError("p must be an odd prime")
         self.p = p
@@ -215,8 +227,10 @@ class PGroup(Group):
         self.n = n
         self.pm = p ** m
         self.pn = p ** n
+        if max(self.pm, self.pn) >= _TEXT_BOUND:
+            raise TooLargeError(_TOO_LARGE)
         # i mod p^m, j mod p^n, and an exponent after j (of a central c) mod p.
-        self.moduli = (self.pm, self.pn, p)[: len(self.exponent_names)]
+        self.moduli = (self.pm, self.pn, p)[: len(self.element_class.exponent_names)]
         self.log_order = m + n + len(self.moduli) - 2
         self.order = p ** self.log_order
         self.tag = f"{self.prefix}:p={p};m={m};n={n}"
@@ -235,18 +249,15 @@ class PGroup(Group):
 
     def elements(self):
         if self.order > ENUMERATION_CAP:
-            raise TooLargeError(f"|G| = {self.order} is beyond enumeration")
+            raise TooLargeError(f"|G| = {self.p}^{self.log_order} is beyond enumeration")
         return starmap(self._make, product((self,), *map(range, self.moduli)))
 
-    def conjugacy_class(self, w, cap: int | None = None) -> frozenset:
+    def conjugacy_class(self, w) -> frozenset:
         """Closed form: a central w is a singleton class, and any other
-        w has the p conjugates `_conjugates(w)`.  A class larger than
-        `cap` raises CapExceededError before it is built."""
+        w has the p conjugates `_conjugates(w)`."""
         self._own(w)
         if w.is_central():
             return frozenset({w})
-        if cap is not None and self.p > cap:
-            raise CapExceededError(f"class size {self.p} exceeds cap {cap}")
         return frozenset(self._conjugates(w))
 
     def center_order(self) -> int:
@@ -277,19 +288,50 @@ class PGroup(Group):
 
 
 class PElement(Element):
-    """Base of the p-group elements, whose `__slots__` are "group" and
-    then the group's `exponent_names`.
+    """Base of the p-group elements.  A subclass declares `__slots__` as
+    "group" and then its exponent names, which become its
+    `exponent_names`; this class derives from them the public
+    constructor, `canonical()`, equality and the hash, which is the
+    hash of the exponent tuple.
 
-    Inputs are checked at the public boundary: an element class's
-    constructor reduces any int exponents mod the group's `moduli`.
+    Inputs are checked at the public boundary: the constructor takes one
+    int per exponent and reduces each mod the group's `moduli`.
     Products, inverses, conjugates and the group's enumerations build
-    their results with the private `_make`, which stores exponents that
-    are in range by construction (each is reduced where it is computed)
-    and skips `__init__`: it fills the element class's `mutable_twin`
-    and then gives it the element class.
+    their results with the subclass's private `_make`, which stores
+    exponents that are in range by construction (each is reduced where
+    it is computed) and skips `__init__`: it fills the element class's
+    `mutable_twin` and then gives it the element class.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exponent_names = names = cls.__slots__[1:]
+        cls._exponents = attrgetter(*names)
+        cls._text = "".join(f";{name}={{}}" for name in names).format
+
+    def __init__(self, group, *exponents):
+        if len(exponents) != len(self.exponent_names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.exponent_names)} exponents"
+            )
+        object.__setattr__(self, "group", group)
+        for name, exponent, modulus in zip(self.exponent_names, exponents, group.moduli):
+            object.__setattr__(self, name, exponent % modulus)
+
+    def canonical(self) -> str:
+        return self.group.tag + self._text(*self._exponents(self))
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self._exponents(self) == self._exponents(other)
+            and (self.group is other.group or self.group == other.group)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._exponents(self))
 
     def is_central(self) -> bool:
         p = self.group.p
@@ -301,7 +343,7 @@ class PElement(Element):
     def __repr__(self) -> str:
         G = self.group
         powers = " ".join(
-            f"{x}^{getattr(self, name)}" for x, name in zip("abc", G.exponent_names)
+            f"{x}^{getattr(self, name)}" for x, name in zip("abc", self.exponent_names)
         )
         return f"<{powers} | p={G.p},m={G.m},n={G.n}>"
 
@@ -311,7 +353,7 @@ def canonical_parser(group_class, factory):
     "mc:p=3;m=2;n=2;i=1;j=0": the whole string, minimal decimal fields,
     exponents below their moduli.  Groups come from the interned
     `factory`, so parsed elements share its group objects."""
-    fields = (*group_class.param_names, *group_class.exponent_names)
+    fields = (*group_class.param_names, *group_class.element_class.exponent_names)
     grammar = re.compile(
         group_class.prefix + ":" + ";".join(rf"{name}=(0|[1-9][0-9]*)" for name in fields)
     )

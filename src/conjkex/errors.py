@@ -21,16 +21,8 @@ class NoSolutionError(ConjKexError):
     """Discrete-log target lies outside the cyclic subgroup searched."""
 
 
-class NotInOrbitError(ConjKexError):
-    """Brute-force conjugator scan ran out of candidates."""
-
-
-class CapExceededError(ConjKexError):
-    """Conjugacy class grew past the caller's cap."""
-
-
 class TooLargeError(ConjKexError):
-    """Group or element is too big for the requested enumeration or text form."""
+    """Group is too big for the requested enumeration, or to print its exponents."""
 
 
 class LevelOutOfRangeError(ConjKexError):

@@ -5,29 +5,24 @@ The platform is
     G = < a, b, c | a^(p^m) = b^(p^n) = c^p = e,
                     b^-1 a b = a c,  c central >,
 
-with p an odd prime and m, n >= 1; |G| = p^(m+n+1).  Normal form is
-a^i b^j c^k, and the commutator of any two elements lands in the central
-<c>, so conjugation only ever shifts the c-exponent.
+with p an odd prime, m, n >= 1 and p^m, p^n below 10^4300; |G| =
+p^(m+n+1).  Normal form is a^i b^j c^k, and the commutator of any two
+elements lands in the central <c>, so conjugation only ever shifts the
+c-exponent.  The shared `core.PElement` gives the constructor, text
+form, equality and hash; this module writes the multiplication law.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .core import PElement, PGroup, canonical_parser, mutable_twin
-from .errors import TooLargeError
 
 
 class HeisenbergElement(PElement):
     """Normal form a^i b^j c^k; immutable value object."""
 
     __slots__ = ("group", "i", "j", "k")
-
-    def __init__(self, group: HeisenbergGroup, i: int, j: int, k: int):
-        _set_group(self, group)
-        _set_i(self, i % group.pm)
-        _set_j(self, j % group.pn)
-        _set_k(self, k % group.p)
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         # b^j a^i = a^i b^j c^(-i*j), so the c-exponent picks up -j1*i2.
@@ -54,31 +49,7 @@ class HeisenbergElement(PElement):
             self._check(x)
         return _make(G, self.i, self.j, (self.k + self.i * x.j - self.j * x.i) % G.p)
 
-    def canonical(self) -> str:
-        try:
-            return f"{self.group.tag};i={self.i};j={self.j};k={self.k}"
-        except ValueError:  # past Python's int-to-str limit
-            raise TooLargeError(
-                f"an element of {self.group.tag} is too long for a canonical string"
-            ) from None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeisenbergElement)
-            and self.i == other.i
-            and self.j == other.j
-            and self.k == other.k
-            and (self.group is other.group or self.group == other.group)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j, self.k))
-
-
-_set_group = HeisenbergElement.group.__set__
-_set_i = HeisenbergElement.i.__set__
-_set_j = HeisenbergElement.j.__set__
-_set_k = HeisenbergElement.k.__set__
 _MutableHeisenbergElement = mutable_twin(HeisenbergElement)
 
 
@@ -99,7 +70,6 @@ class HeisenbergGroup(PGroup):
     kind = "heisenberg"
     prefix = "mm"
     min_m = 1
-    exponent_names = ("i", "j", "k")
     element_class = HeisenbergElement
     _make = staticmethod(_make)
 
@@ -114,9 +84,7 @@ class HeisenbergGroup(PGroup):
         return (_make(self, w.i, w.j, k) for k in range(self.p))
 
 
-@lru_cache(maxsize=None)
-def heisenberg_group(p: int, m: int, n: int) -> HeisenbergGroup:
-    return HeisenbergGroup(p, m, n)
+heisenberg_group = cache(HeisenbergGroup)
 
 
 parse_canonical = canonical_parser(HeisenbergGroup, heisenberg_group)

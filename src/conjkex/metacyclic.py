@@ -4,31 +4,28 @@ The platform is the semidirect product of two cyclic p-groups,
 
     G = < a, b | a^(p^m) = e, b^(p^n) = e, b a b^-1 = a^twist >,
 
-with twist = 1 + p^(m-1), p an odd prime, m >= 2, n >= 1.  Every element
-has the unique normal form a^i b^j with 0 <= i < p^m, 0 <= j < p^n, so
-equality is componentwise.  `MetaElement.conjugate_by(x)` computes
-x w x^-1, so conjugating a^i by b multiplies the exponent i by the
-twist, which is what makes the platform efficient: a single modular
+with twist = 1 + p^(m-1), p an odd prime, m >= 2, n >= 1, and p^m, p^n
+below 10^4300.  Every element has the unique normal form a^i b^j with
+0 <= i < p^m, 0 <= j < p^n, so equality is componentwise.  The shared
+`core.PElement` gives the constructor, text form, equality and hash;
+this module writes the multiplication law.  `MetaElement.conjugate_by(x)`
+computes x w x^-1, so conjugating a^i by b multiplies the exponent i by
+the twist, which is what makes the platform efficient: a single modular
 exponentiation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .core import PElement, PGroup, canonical_parser, mutable_twin
-from .errors import NoSolutionError, TooLargeError
+from .errors import NoSolutionError
 
 
 class MetaElement(PElement):
     """Normal form a^i b^j; immutable value object."""
 
     __slots__ = ("group", "i", "j")
-
-    def __init__(self, group: MetacyclicGroup, i: int, j: int):
-        _set_group(self, group)
-        _set_i(self, i % group.pm)
-        _set_j(self, j % group.pn)
 
     def __mul__(self, other: "MetaElement") -> "MetaElement":
         # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*twist^j1) b^(j1 + j2)
@@ -54,29 +51,7 @@ class MetaElement(PElement):
         self._check(x)
         return x * self * x.inverse()
 
-    def canonical(self) -> str:
-        try:
-            return f"{self.group.tag};i={self.i};j={self.j}"
-        except ValueError:  # past Python's int-to-str limit
-            raise TooLargeError(
-                f"an element of {self.group.tag} is too long for a canonical string"
-            ) from None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MetaElement)
-            and self.i == other.i
-            and self.j == other.j
-            and (self.group is other.group or self.group == other.group)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
-
-
-_set_group = MetaElement.group.__set__
-_set_i = MetaElement.i.__set__
-_set_j = MetaElement.j.__set__
 _MutableMetaElement = mutable_twin(MetaElement)
 
 
@@ -96,7 +71,6 @@ class MetacyclicGroup(PGroup):
     kind = "metacyclic"
     prefix = "mc"
     min_m = 2
-    exponent_names = ("i", "j")
     element_class = MetaElement
     _make = staticmethod(_make)
 
@@ -152,10 +126,8 @@ class MetacyclicGroup(PGroup):
         return (_make(self, (w.i + s * step) % self.pm, w.j) for s in range(self.p))
 
 
-@lru_cache(maxsize=None)
-def metacyclic_group(p: int, m: int, n: int) -> MetacyclicGroup:
-    """Interned group instances, so parsed elements share power caches."""
-    return MetacyclicGroup(p, m, n)
+# Interned group instances, so parsed elements share power caches.
+metacyclic_group = cache(MetacyclicGroup)
 
 
 parse_canonical = canonical_parser(MetacyclicGroup, metacyclic_group)

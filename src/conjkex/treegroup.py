@@ -55,7 +55,7 @@ the bottom level keeps nothing, as it shares its group's all-zero tuple.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -74,11 +74,6 @@ _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_ENUM_DEPTH = 4    # exhaustive enumeration
 MAX_SUBGROUP_DEPTH = 8  # Subgroup: G' and Phi(G') take about 2.7 s at k = 8
-
-
-@lru_cache(maxsize=None)
-def tree_group(k: int) -> "TreeSylowGroup":
-    return TreeSylowGroup(k)
 
 
 class TreeSylowGroup(Group):
@@ -338,6 +333,9 @@ class TreeSylowGroup(Group):
 
     def _mismatch(self, other: "TreeSylowGroup") -> DepthMismatchError:
         return DepthMismatchError(f"depth mismatch: {self.k} vs {other.k}")
+
+
+tree_group = cache(TreeSylowGroup)
 
 
 class Portrait(Element):

@@ -5,7 +5,11 @@ conjugation and the group's commuting subgroup), so they stay
 independent of each platform's closed forms.
 """
 
-from conjkex.errors import NotInOrbitError
+from conjkex.errors import ConjKexError
+
+
+class NotInOrbitError(ConjKexError):
+    """Brute-force conjugator scan ran out of candidates."""
 
 
 def conjugate_via_products(w, x):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -385,9 +386,11 @@ def test_element_roundtrip_property(capsys):
 
 
 # Python refuses to convert ints of more than 4300 decimal digits to or
-# from text.  A p-group exponent can pass that, both in a canonical
-# string and in an element computed from a short one.
+# from text.  A p-group exponent could pass that in a canonical string,
+# and a group whose p^m or p^n reaches 10^4300 is refused before any
+# element is built, so every exponent of a group that exists prints.
 LONG_FIELD = "1" * 5000
+TOO_LARGE = "p^m and p^n must be below 10^4300, so that every exponent prints"
 
 
 @pytest.mark.parametrize("text", [
@@ -395,11 +398,23 @@ LONG_FIELD = "1" * 5000
     "mm:p=3;m=99999;n=2;i=1;j=0;k=0",
 ], ids=["metacyclic", "heisenberg"])
 def test_element_too_long_to_print_is_a_usage_error(capsys, text):
-    # The inverse's a-exponent is 3^99999 - 1, of 47,712 digits.
+    # 3^99999 has 47,712 digits: the group is refused as it is parsed.
     code, out, err = run_cli(capsys, "element", "--inv", text)
     assert (code, out) == (2, "")
-    tag = text.split(";i=")[0]
-    assert err == f"error: an element of {tag} is too long for a canonical string\n"
+    assert err == f"error: {TOO_LARGE}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("element", "--inv", "mc:p=3;m=100000000;n=1;i=0;j=0"),
+    ("demo", "--platform", "metacyclic", "-p", str(2 ** 127 - 1), "-m", "10000",
+     "-n", "10000", "--seed-a", "1", "--seed-b", "2"),
+], ids=["element", "demo"])
+def test_huge_pgroup_is_refused_before_its_powers_are_built(capsys, argv):
+    # Both ran for minutes when p^m was built whole before any bound.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", f"error: {TOO_LARGE}\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -416,10 +431,7 @@ def test_element_field_too_long_to_read_is_a_usage_error(capsys, text):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (
-        ("--platform", "metacyclic", "-p", "3", "-m", "10000", "-n", "2"),
-        "an element of mc:p=3;m=10000;n=2 is too long for a canonical string",
-    ),
+    (("--platform", "metacyclic", "-p", "3", "-m", "10000", "-n", "2"), TOO_LARGE),
     (
         ("--platform", "heisenberg", "-p", "3", "-m", "2", "-n", "2",
          "--base", f"mm:p=3;m=2;n=2;i={LONG_FIELD};j=0;k=0"),
@@ -482,14 +494,15 @@ def test_stats_tree_cap_names_the_order_as_a_power(capsys, k, exponent):
 @pytest.mark.parametrize(
     "platform, params, power",
     [
-        ("heisenberg", ("1009", "2000", "2000"), "1009^4001"),
+        ("heisenberg", ("1009", "1400", "1400"), "1009^2801"),
         ("metacyclic", ("3", "2000", "2000"), "3^4000"),
         ("heisenberg", ("5", "4", "4"), "5^9"),
         ("metacyclic", ("3", "10", "2"), "3^12"),
     ],
 )
 def test_stats_pgroup_cap_names_the_order_as_a_power(capsys, platform, params, power):
-    # 1009^4001 has over 12000 decimal digits, past what `str` converts.
+    # 1009^2801 has over 8000 decimal digits, past what `str` converts,
+    # while 1009^1400 has 4,206, inside the p-group limit.
     flags = [arg for flag, value in zip(("-p", "-m", "-n"), params) for arg in (flag, value)]
     code, out, err = run_cli(capsys, "stats", "--platform", platform, *flags)
     assert (code, out) == (2, "")

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 failed claims or attack, 2 bad usage or
 malformed input (argparse's own SystemExit(2) included), 3 key
 disagreement.  Every example is kept cheap: no `verify` with a suite that
 runs, no `tree --long` at k = 7 or 8 (the engine's slow depths), no tree
-depth between 17 and 20, a small `stats` cap, and exponent heights m, n of
-at most 12, since p^m is built whole.
+depth between 17 and 20, and a small `stats` cap.  Exponent heights m, n
+reach past the p-group limit (p^m and p^n below 10^4300: m, n <= 9012 at
+p = 3), which is refused before p^m is built.
 """
 
 import contextlib
@@ -29,8 +30,13 @@ NEAR_LIMIT = "9" * 4300
 NOT_INTS = st.text(
     alphabet=st.characters(exclude_categories=("Nd", "Cs")), max_size=6
 )
-SMALL = st.integers(min_value=-3, max_value=12).map(str)
-HEIGHTS = st.one_of(SMALL, NOT_INTS, st.sampled_from(["+2", " 3", "1_0", "3.0", LONG]))
+# Small heights, and heights up to and past the limit at p = 3.
+HEIGHT_INTS = st.one_of(
+    st.integers(min_value=-3, max_value=12), st.integers(min_value=13, max_value=9100)
+).map(str)
+HEIGHTS = st.one_of(
+    HEIGHT_INTS, NOT_INTS, st.sampled_from(["+2", " 3", "1_0", "3.0", "9012", "9013", LONG])
+)
 PRIMES = st.one_of(
     st.integers(min_value=-5, max_value=60).map(str),
     NOT_INTS,
@@ -67,7 +73,11 @@ def canonical_texts(draw):
             st.sampled_from(["", "0f", "F", "-1", "f" * 300]),
         ))
         return f"tg:k={draw(DEPTHS.filter(lambda k: k != NEAR_LIMIT))};bits={bits}"
-    heights = st.one_of(st.integers(min_value=0, max_value=12).map(str), st.just(LONG))
+    heights = st.one_of(
+        st.integers(min_value=0, max_value=12).map(str),
+        st.integers(min_value=13, max_value=9100).map(str),
+        st.sampled_from(["9012", "9013", LONG]),
+    )
     names = ["i", "j", "k"][: 2 if kind == "mc" else 3]
     fields = [
         f"p={draw(PRIMES)}", f"m={draw(heights)}", f"n={draw(heights)}",
@@ -180,6 +190,28 @@ def test_attack_argv(workdir, data):
 )
 def test_element_argv(op, texts):
     run(["element", op, *texts])
+
+
+@FUZZ
+@given(
+    platform=st.sampled_from(["metacyclic", "heisenberg"]),
+    p=st.sampled_from([3, 5, 7]),
+    m=st.one_of(st.integers(min_value=2, max_value=9100), st.sampled_from([9012, 9013])),
+    n=st.one_of(st.integers(min_value=1, max_value=9100), st.sampled_from([9012, 9013])),
+    command=st.sampled_from(["demo", "element"]),
+)
+def test_pgroup_heights_up_to_and_past_the_limit(platform, p, m, n, command):
+    # A group exists, and its elements print, exactly when p^m and p^n
+    # are below 10^4300.
+    if command == "demo":
+        argv = ["demo", "--platform", platform, "-p", str(p), "-m", str(m), "-n", str(n),
+                "--seed-a", "1", "--seed-b", "2"]
+    else:
+        text = f"p={p};m={m};n={n};i=1;j=1"
+        argv = ["element", "--inv", f"mc:{text}" if platform == "metacyclic" else f"mm:{text};k=1"]
+    code, err = run(argv)
+    fits = max(p ** m, p ** n) < 10 ** 4300
+    assert code == (0 if fits else 2), (argv, err)
 
 
 @FUZZ

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from conjkex.cryptanalysis import bsgs_break, orbit_stats
-from conjkex.errors import NoSolutionError, NotInOrbitError, TooLargeError
+from conjkex.errors import NoSolutionError, TooLargeError
 from conjkex.heisenberg import heisenberg_group
 from conjkex.kex import Session, run_demo
 from conjkex.metacyclic import metacyclic_group
 from conjkex.treegroup import tree_group
-from oracles import brute_conjugacy
+from oracles import NotInOrbitError, brute_conjugacy
 
 
 def forced_session(role, base, private):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjkex.errors import (
-    CapExceededError,
     DepthMismatchError,
     ParamMismatchError,
     ParseError,
@@ -21,7 +20,7 @@ from conjkex.errors import (
 )
 from conjkex.heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from conjkex.heisenberg import parse_canonical as parse_heisenberg
-from conjkex.kex import sample_private, validate_base
+from conjkex.kex import parse_element, sample_private, validate_base
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group
 from conjkex.metacyclic import parse_canonical as parse_metacyclic
 from conjkex.rng import SplitMix64
@@ -47,7 +46,7 @@ def assert_immutable(g, *names):
 
 def test_metacyclic_distinct_equal_groups_interoperate():
     interned = metacyclic_group(5, 2, 1)
-    fresh = MetacyclicGroup(5, 2, 1)  # outside the lru_cache
+    fresh = MetacyclicGroup(5, 2, 1)  # outside the factory's cache
     assert fresh is not interned and fresh == interned
     assert fresh._twist_pows is None  # its power table is not built yet
     g, h = interned.element(7, 3), fresh.element(11, 4)
@@ -260,11 +259,6 @@ def test_shared_base_powers_commutation_and_immutability(g, h):
         g.group = G
     with pytest.raises(AttributeError):
         g.unknown = 0
-    # Every platform's class honours the cap.
-    size = len(G.conjugacy_class(g))
-    assert size > 1 and len(G.conjugacy_class(g, cap=size)) == size
-    with pytest.raises(CapExceededError):
-        G.conjugacy_class(g, cap=size - 1)
 
 
 @pytest.mark.parametrize("g,text", [
@@ -285,10 +279,88 @@ def test_pgroup_text_past_the_digit_limit_raises_package_errors(factory, parse):
     G = factory(3, 9000, 1)  # 3^9000 has 4,295 digits, so p^m - 1 fits
     big = G.a(-1)
     assert parse(big.canonical()) == big
-    G = factory(3, 9100, 1)  # 3^9100 - 1 has 4,342
-    with pytest.raises(TooLargeError, match="too long for a canonical string"):
-        G.a(-1).canonical()
-    assert G.a(1).canonical().startswith(f"{G.tag};i=1;")
+    # 3^9100 has 4,342: the group is refused before any element exists.
+    with pytest.raises(TooLargeError, match=r"must be below 10\^4300"):
+        factory(3, 9100, 1)
     fields = ";".join(["i=" + "9" * 4301, "j=0", "k=0"][: len(G.moduli)])
     with pytest.raises(ParseError, match="a field is too long to read"):
         parse(f"{G.tag};{fields}")
+
+
+# ------------------------------------------- the p-group element body (PElement)
+
+PGROUP_PLATFORMS = pytest.mark.parametrize(
+    "group_class, factory",
+    [(MetacyclicGroup, metacyclic_group), (HeisenbergGroup, heisenberg_group)],
+    ids=["metacyclic", "heisenberg"],
+)
+
+
+@PGROUP_PLATFORMS
+def test_pgroup_elements_hash_as_their_exponent_tuple(group_class, factory):
+    G = factory(5, 2, 2)
+    for g in [*G.generator_elements(), G.element(*(7, 13, 4)[: len(G.moduli)])]:
+        names = type(g).exponent_names
+        assert names == type(g).__slots__[1:] == ("i", "j", "k")[: len(G.moduli)]
+        assert hash(g) == hash(tuple(getattr(g, name) for name in names))
+
+
+@PGROUP_PLATFORMS
+def test_pgroup_elements_of_equal_distinct_groups_are_equal(group_class, factory):
+    interned, fresh = factory(5, 2, 2), group_class(5, 2, 2)
+    assert fresh is not interned
+    exponents = (7, 13, 4)[: len(fresh.moduli)]
+    g, h = interned.element(*exponents), fresh.element(*exponents)
+    assert g == h and h == g and hash(g) == hash(h) and len({g, h}) == 1
+
+
+def test_pgroup_elements_of_other_groups_are_never_equal():
+    same_exponents = [
+        metacyclic_group(3, 2, 2).element(1, 1),
+        metacyclic_group(3, 2, 3).element(1, 1),
+        metacyclic_group(5, 2, 2).element(1, 1),
+        heisenberg_group(3, 2, 2).element(1, 1, 0),
+        heisenberg_group(3, 1, 2).element(1, 1, 0),
+    ]
+    for x in same_exponents:
+        for y in same_exponents:
+            assert (x == y) is (x is y) and (x != y) is (x is not y)
+    assert len(set(same_exponents)) == len(same_exponents)
+
+
+@PGROUP_PLATFORMS
+def test_pgroup_constructor_refuses_the_wrong_arity(group_class, factory):
+    G = factory(3, 2, 2)
+    arity = len(G.moduli)
+    for count in {0, 1, arity - 1, arity + 1}:
+        with pytest.raises(TypeError, match=f"takes {arity} exponents"):
+            G.element(*range(count))
+        with pytest.raises(TypeError, match=f"takes {arity} exponents"):
+            G.element_class(G, *range(count))
+
+
+@PGROUP_PLATFORMS
+def test_pgroup_canonical_round_trips_through_parse_element(group_class, factory):
+    G = factory(7, 3, 2)
+    for exponents in [(0, 0, 0), (1, 2, 3), (-1, -1, -1), (343, 49, 7), (10 ** 9, 3, 5)]:
+        g = G.element(*exponents[: len(G.moduli)])
+        text = g.canonical()
+        back = parse_element(text)
+        assert back == g and back.group is G and back.canonical() == text
+
+
+@PGROUP_PLATFORMS
+@pytest.mark.parametrize("at_limit, past_limit", [
+    ((9012, 1), (9013, 1)),
+    ((2, 9012), (2, 9013)),
+], ids=["m", "n"])
+def test_pgroup_size_limit_is_reachable_and_exact(group_class, factory, at_limit, past_limit):
+    # 3^9012 has 4,300 digits, the most Python prints; 3^9013 has 4,301.
+    G = group_class(3, *at_limit)
+    for g in (G.a(-1), G.b(-1)):
+        assert parse_element(g.canonical()) == g
+    # |G| itself passes the limit; the refusal names it as a power.
+    with pytest.raises(TooLargeError, match=rf"^\|G\| = 3\^{G.log_order} is beyond enumeration$"):
+        G.elements()
+    with pytest.raises(TooLargeError, match=r"must be below 10\^4300"):
+        group_class(3, *past_limit)
