@@ -84,12 +84,14 @@ class MetacyclicGroup(PGroup):
         self._twist_pows: list[int] | None = None
 
     # twist^j depends only on j mod p, as twist has order p (so twist^-j
-    # is twist^(p-j)); cache the cycle for small p.
+    # is twist^(p-j)); cache the cycle for small p, from the closed form
+    # twist^s = 1 + s*p^(m-1) of `twist_log`, which is below p^m for s < p.
     def twist_pow(self, j: int) -> int:
         j %= self.p
         if self.p <= 1 << 16:
             if self._twist_pows is None:
-                self._twist_pows = self._cycle(self.twist)
+                step = self.twist - 1
+                self._twist_pows = [1 + s * step for s in range(self.p)]
             return self._twist_pows[j]
         return pow(self.twist, j, self.pm)
 
@@ -108,12 +110,6 @@ class MetacyclicGroup(PGroup):
                 f"{u} is not in the subgroup generated by {self.twist} mod {self.pm}"
             )
         return s
-
-    def _cycle(self, t: int) -> list[int]:
-        out = [1]
-        for _ in range(self.p - 1):
-            out.append(out[-1] * t % self.pm)
-        return out
 
     def generator_elements(self) -> list[MetaElement]:
         return [self.a(), self.b()]

@@ -8,6 +8,13 @@ runs, no `tree --long` at k = 7 or 8 (the engine's slow depths), no tree
 depth between 17 and 20, and a small `stats` cap.  Exponent heights m, n
 reach past the p-group limit (p^m and p^n below 10^4300: m, n <= 9012 at
 p = 3), which is refused before p^m is built.
+
+Half the `demo`, `stats`, `element` and attack-transcript examples name a
+valid small p-group (p <= 7, at most 7^6 elements), so that the command
+runs real group arithmetic; there the outcome is pinned: a handshake
+agrees, an element operation succeeds, stats answers exactly when the
+group fits under the cap, and the attack recovers the key of a whole
+metacyclic transcript.
 """
 
 import contextlib
@@ -50,10 +57,17 @@ DEPTHS = st.one_of(
     NOT_INTS,
     st.sampled_from(["21", str(10 ** 30), NEAR_LIMIT, LONG]),
 )
-SEEDS = st.one_of(
-    st.integers(min_value=-(2 ** 70), max_value=2 ** 70).map(str), NOT_INTS, st.just(LONG)
-)
+INT_SEEDS = st.integers(min_value=-(2 ** 70), max_value=2 ** 70).map(str)
+SEEDS = st.one_of(INT_SEEDS, NOT_INTS, st.just(LONG))
 CAPS = st.one_of(st.integers(min_value=-5, max_value=2000).map(str), NOT_INTS)
+# Valid (p, m, n) for both p-group platforms, at most 7^6 elements, so a
+# command that gets one runs real group arithmetic and stays cheap.
+SMALL_PGROUPS = st.tuples(
+    st.sampled_from([3, 5, 7]),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=2),
+)
+PGROUP_PLATFORMS = st.sampled_from(["metacyclic", "heisenberg"])
 
 
 @st.composite
@@ -84,6 +98,36 @@ def canonical_texts(draw):
         *(f"{name}={draw(exponent)}" for name in names),
     ]
     return f"{kind}:" + ";".join(fields)
+
+
+@st.composite
+def small_pgroup_texts(draw, count):
+    """`count` canonical strings of elements of one valid small p-group."""
+    prefix = draw(st.sampled_from(["mc", "mm"]))
+    p, m, n = draw(SMALL_PGROUPS)
+    moduli = (p ** m, p ** n, p)[: 2 if prefix == "mc" else 3]
+    texts = []
+    for _ in range(count):
+        exponents = [f"{name}={draw(st.integers(0, modulus - 1))}"
+                     for name, modulus in zip("ijk", moduli)]
+        texts.append(f"{prefix}:p={p};m={m};n={n};" + ";".join(exponents))
+    return texts
+
+
+def small_pgroup_flags(draw):
+    """Platform flags of a valid small p-group, and the group's order."""
+    platform = draw(PGROUP_PLATFORMS)
+    p, m, n = draw(SMALL_PGROUPS)
+    order = p ** (m + n + (platform == "heisenberg"))
+    return ["--platform", platform, "-p", str(p), "-m", str(m), "-n", str(n)], order
+
+
+def small_pgroup_demo(draw):
+    """A `demo` argv that runs a handshake: a valid small p-group and
+    integer seeds, maybe with --debug-key."""
+    flags, _ = small_pgroup_flags(draw)
+    argv = ["demo", *flags, "--seed-a", draw(INT_SEEDS), "--seed-b", draw(INT_SEEDS)]
+    return argv + ["--debug-key"] if draw(st.booleans()) else argv
 
 
 def platform_flags(draw):
@@ -126,6 +170,13 @@ def transcript_paths(workdir):
 @given(data=st.data())
 def test_demo_argv(workdir, data):
     draw = data.draw
+    # Half the examples run a handshake, which must agree; the rest draw
+    # each flag apart, mostly invalid.
+    if draw(st.booleans()):
+        argv = small_pgroup_demo(draw)
+        code, err = run(argv)
+        assert code == 0, (argv, err)
+        return
     argv = ["demo", *platform_flags(draw)]
     if draw(st.booleans()):
         argv += ["--base", draw(canonical_texts())]
@@ -170,26 +221,53 @@ def transcript_texts(draw):
     return "\n".join(lines)
 
 
+def write_genuine_transcript(draw, path):
+    """Write the transcript of a small p-group handshake, with the debug
+    key the attack checks against, to `path`, maybe with one line
+    replaced; True when it is left whole and on the attack's platform."""
+    argv = [*small_pgroup_demo(draw), "--transcript", str(path)]
+    if "--debug-key" not in argv:
+        argv.append("--debug-key")
+    code, err = run(argv)
+    assert code == 0, (argv, err)
+    if not draw(st.booleans()):
+        return "metacyclic" in argv
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[draw(st.integers(0, len(lines) - 1))] = draw(transcript_texts())
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return False
+
+
 @FUZZ
 @given(data=st.data())
 def test_attack_argv(workdir, data):
     path = data.draw(transcript_paths(workdir))
+    breakable = False
     if path.endswith("t.ndjson") and "missing" not in path:
-        body = data.draw(st.one_of(transcript_texts(), st.binary(max_size=40)))
-        if isinstance(body, str):
-            (workdir / "t.ndjson").write_text(body, encoding="utf-8")
+        if data.draw(st.booleans()):
+            breakable = write_genuine_transcript(data.draw, workdir / "t.ndjson")
         else:
-            (workdir / "t.ndjson").write_bytes(body)
-    run(["attack", "--transcript", path])
+            body = data.draw(st.one_of(transcript_texts(), st.binary(max_size=40)))
+            if isinstance(body, str):
+                (workdir / "t.ndjson").write_text(body, encoding="utf-8")
+            else:
+                (workdir / "t.ndjson").write_bytes(body)
+    code, err = run(["attack", "--transcript", path])
+    if breakable:
+        assert code == 0, err
 
 
 @FUZZ
-@given(
-    op=st.sampled_from(["--mul", "--inv", "--conj"]),
-    texts=st.lists(canonical_texts(), min_size=0, max_size=3),
-)
-def test_element_argv(op, texts):
-    run(["element", op, *texts])
+@given(op=st.sampled_from(["--mul", "--inv", "--conj"]), data=st.data())
+def test_element_argv(op, data):
+    # Half the examples give the operation's arity of elements of one
+    # valid small group, which must succeed.
+    if data.draw(st.booleans()):
+        texts = data.draw(small_pgroup_texts(1 if op == "--inv" else 2))
+        code, err = run(["element", op, *texts])
+        assert code == 0, (texts, err)
+    else:
+        run(["element", op, *data.draw(st.lists(canonical_texts(), min_size=0, max_size=3))])
 
 
 @FUZZ
@@ -225,8 +303,16 @@ def test_tree_argv(depth, long):
 @FUZZ
 @given(data=st.data())
 def test_stats_argv(data):
-    argv = ["stats", *platform_flags(data.draw), "--cap", data.draw(CAPS)]
-    run(argv)
+    draw = data.draw
+    # Half the examples name a valid small p-group: its class histogram
+    # is built exactly when the group fits under the cap.
+    if draw(st.booleans()):
+        flags, order = small_pgroup_flags(draw)
+        cap = draw(st.integers(min_value=0, max_value=3000))
+        code, err = run(["stats", *flags, "--cap", str(cap)])
+        assert code == (0 if order <= cap else 2), (flags, cap, err)
+        return
+    run(["stats", *platform_flags(draw), "--cap", draw(CAPS)])
 
 
 @FUZZ

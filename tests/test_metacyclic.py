@@ -113,6 +113,15 @@ def test_twist_log_inverts_twist_pow(p, m):
         assert G.twist_log(G.twist_pow(s)) == s
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 7), (5, 3), (7, 4), (101, 2), (1009, 3)])
+def test_twist_table_matches_modular_powers(p, m):
+    # The cached table comes from the closed form 1 + s*p^(m-1); pin it
+    # against plain modular exponentiation.
+    G = metacyclic_group(p, m, 1)
+    G.twist_pow(0)
+    assert G._twist_pows == [pow(G.twist, s, G.pm) for s in range(p)]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_twist_log_matches_bsgs(m):
     rng = random.Random(53 + m)

@@ -1,11 +1,12 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conjkex import verify
 from conjkex.metacyclic import MetaElement, metacyclic_group
-from conjkex.treegroup import TreeSylowGroup
+from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
 from conjkex.verify import (
     SUITES,
     ClaimResult,
@@ -57,14 +58,24 @@ def per_element_class_sizes(p, m, n):
     return f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
 
 
-@pytest.mark.parametrize("params, products", [((3, 2, 1), 82), ((5, 2, 1), 314)])
-@pytest.mark.parametrize("suite", [class_size_claims, center_claims])
+@pytest.mark.parametrize(
+    "suite, params, products",
+    [
+        pytest.param(class_size_claims, (3, 2, 1), 82, id="class_size_claims-params0-82"),
+        pytest.param(class_size_claims, (5, 2, 1), 314, id="class_size_claims-params1-314"),
+        pytest.param(center_claims, (3, 2, 1), 64, id="center_claims-params0-64"),
+        pytest.param(center_claims, (5, 2, 1), 214, id="center_claims-params1-214"),
+    ],
+)
 def test_metacyclic_suites_fill_conjugation_tables(monkeypatch, suite, params, products):
-    # 2|G| + 2(p^m + p^n) + 4 per suite: 54 + 24 + 4 and 250 + 60 + 4.
     # Per generator: 4 products for the images of a and b, p^m - 1 and
-    # p^n - 1 for their powers, and one per element.
+    # p^n - 1 for their powers, and one per element conjugated.  The
+    # theorems suite conjugates all of G by both generators; the center
+    # suite conjugates by b only the |G|/p elements that a fixes.
     p, m, n = params
-    assert products == 2 * p ** (m + n) + 2 * (p ** m + p ** n) + 4
+    order = p ** (m + n)
+    per_element = 2 * order if suite is class_size_claims else order + order // p
+    assert products == per_element + 2 * (p ** m + p ** n) + 4
     calls = []
     real = MetaElement.__mul__
 
@@ -180,6 +191,73 @@ def test_growth_claims_pass():
     for k in (2, 3, 4):
         for result in commuting_growth_claims(k):
             assert result.passed, result.to_json()
+
+
+def pairwise_growth_values(k):
+    """The level-subgroup measurement with every pair of members
+    multiplied both ways."""
+    group = tree_group(k)
+    values = []
+    for level in range(k):
+        members = group.level_subgroup(level)
+        commute = all(g * h == h * g for g, h in combinations(members, 2))
+        values.append(f"size:{len(members)};commute:{commute}")
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_growth_values_match_pairwise_oracle(k):
+    results = [r for r in commuting_growth_claims(k) if r.claim_id == "growth.level-subgroup"]
+    assert [r.measured_value for r in results] == pairwise_growth_values(k)
+
+
+def test_growth_claims_multiply_only_the_level_generators(monkeypatch):
+    # Per level l: 2^l (2^l - 1) products for the generator pairs and
+    # 2^(2^l) - 1 for the doubled span, so 1 + 5 + 27 + 311 at k = 4.
+    calls = []
+    real = Portrait.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Portrait, "__mul__", counting)
+    results = commuting_growth_claims(4)
+    assert results and all(r.passed for r in results)
+    assert len(calls) == 344
+
+
+def test_growth_claim_fails_when_two_level_generators_do_not_commute(monkeypatch):
+    group = tree_group(3)
+    g, h = group.single(2, 0), group.single(2, 1)
+    real = Portrait.__mul__
+
+    def breaking(self, other):
+        return self if (self, other) == (g, h) else real(self, other)
+
+    monkeypatch.setattr(Portrait, "__mul__", breaking)
+    failed = [(r.claim_id, r.params, r.measured_value) for r in commuting_growth_claims(3)
+              if not r.passed]
+    assert failed == [("growth.level-subgroup", "k=3,l=2", "size:16;commute:False")]
+
+
+def test_growth_claim_fails_when_a_member_is_outside_the_generators_span(monkeypatch):
+    # The level-1 generator does not commute with single(2, 0), but the
+    # level-2 generators still commute pairwise: only the span check can
+    # catch the extra member.
+    real = TreeSylowGroup.level_subgroup
+
+    def widened(self, level, even_only=False):
+        members = real(self, level, even_only)
+        return members + [self.single(1, 0)] if level == 2 else members
+
+    monkeypatch.setattr(TreeSylowGroup, "level_subgroup", widened)
+    failed = [(r.claim_id, r.params, r.measured_value) for r in commuting_growth_claims(3)
+              if not r.passed]
+    assert failed == [
+        ("growth.level-subgroup", "k=3,l=2", "size:17;commute:False"),
+        ("growth.doubling-exponent", "k=3,l=2", "17"),
+    ]
 
 
 def test_run_suites_sorted_and_deterministic():
