@@ -3,10 +3,11 @@
 The eavesdropper sees w, w^x, w^y.  Conjugation by b-powers multiplies
 a-exponents by powers of the order-p twist, so the quotient of the two
 exponents, q = twist^s, is Alice's secret twist power.  Because
-twist^s = 1 + s*p^(m-1) (mod p^m), s is read off q by one division and
-the key costs 2 modular multiplications at every p.  For comparison the
-demo also solves the same targets by baby-step giant-step, which spends
-between sqrt(p) and 2*sqrt(p) multiplications, depending on the secret.
+twist^s = 1 + s*p^(m-1) (mod p^m), s is read off q by one division,
+and the key w_x * w^-1 * w_y costs 2 group products at every p.  For
+comparison the demo also solves the same targets by baby-step
+giant-step, which spends between sqrt(p) and 2*sqrt(p) multiplications,
+depending on the secret.
 
 Run:  python3 demos/attack_cost_curve.py
 """

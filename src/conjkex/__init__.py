@@ -2,10 +2,10 @@
 
 Three exact-arithmetic platform groups (a metacyclic and a non-metacyclic
 minimal non-abelian p-group, and Sylow 2-subgroups of S_(2^k) as tree
-portraits), a generic conjugacy key-exchange protocol over them, attack
-code that breaks the metacyclic instance in a constant number of modular
-operations, and a suite verifying the structural claims the construction
-rests on.
+portraits), a generic conjugacy key-exchange protocol over them, an
+attack that recovers the key on every platform from public data in two
+group products, and a suite verifying the structural claims the
+construction rests on.
 """
 
 from .arith import OpCounter, bsgs_dlog, is_probable_prime

@@ -1,10 +1,10 @@
 """Number-theoretic primitives on plain Python ints.
 
 `is_probable_prime` validates the odd prime p of the metacyclic and
-heisenberg platforms.  `OpCounter` counts the modular multiplications an
-attack spends.  `bsgs_dlog`, a generic baby-step giant-step discrete
+heisenberg platforms.  `OpCounter` counts the modular multiplications a
+search spends.  `bsgs_dlog`, a generic baby-step giant-step discrete
 log, is the independent oracle that the tests and the attack-cost demo
-hold the metacyclic platform's closed-form `twist_log` against.  All
+hold the metacyclic platform's closed-form `private_log` against.  All
 integers are plain Python ints, so parameters of any magnitude work
 without overflow.
 """

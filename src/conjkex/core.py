@@ -11,7 +11,9 @@ normal form, so element equality compares fields.  Every group answers:
   (an enumeration, refused past a size limit) and `conjugacy_class(w)`;
 - the key exchange's policies: the commuting subgroup the privates come
   from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
-  s from `first_private` on), `default_base()` and `usable_base(w)`.
+  s from `first_private` on), `default_base()` and `usable_base(w)`;
+- `private_log(w, w_x)`: an index s whose private moves w to w_x, which
+  is all the attack needs to know of a platform.
 
 Every element answers `*`, `inverse()`, `conjugate_by(x)`,
 `canonical()`, `is_central()`, `is_identity()`, powers and
@@ -46,7 +48,7 @@ from itertools import product, starmap
 from operator import attrgetter
 
 from .arith import is_probable_prime
-from .errors import ConjKexError, ParamMismatchError, ParseError, TooLargeError
+from .errors import ConjKexError, NoSolutionError, ParamMismatchError, ParseError, TooLargeError
 
 ENUMERATION_CAP = 10 ** 6
 # Python converts ints of at most 4300 decimal digits to and from text, so
@@ -204,7 +206,9 @@ class PGroup(Group):
     `min_m`, its `element_class` and that class's `_make` (see
     `PElement`), which defaults the exponents after j to 0, and writes
     `_conjugates(w)`, the p members of a non-central w's class in
-    closed form.
+    closed form, and `_shift(w, w_x)`: the steps of the one exponent
+    that conjugation by a b-power moves, from w to w_x, or None when
+    w_x differs from w elsewhere or by part of a step.
     """
 
     param_names = ("p", "m", "n")
@@ -280,6 +284,21 @@ class PGroup(Group):
 
     def default_base(self):
         return self.a(1)
+
+    def private_log(self, w, w_x) -> int:
+        """The least s in [0, p) with w.conjugate_by(b^s) == w_x.
+        Conjugation by b^s moves one exponent of w by i*s steps, so s is
+        the steps from w to w_x (`_shift`) divided by i mod p; a w with
+        p | i is fixed by every b-power, so only w_x = w fits it.  Raises
+        NoSolutionError when no b-power moves w to w_x."""
+        shift = self._shift(w, w_x)
+        p = self.p
+        if shift is not None:
+            if w.i % p:
+                return shift * pow(w.i, -1, p) % p
+            if not shift:
+                return 0
+        raise NoSolutionError("no b-power conjugates the base to this value")
 
     def usable_base(self, w) -> bool:
         """A base must be moved by the b-powers and lie in <a>: a

@@ -1,10 +1,14 @@
 """Attacks on the conjugacy exchange, and orbit statistics.
 
-The headline attack recovers the key of a metacyclic session from public
-data alone.  The public values multiply the base's a-exponent by a power
-of the order-p twist, and twist^s = 1 + s*p^(m-1) (mod p^m) is linear in
-s, so the "discrete log" is one division: the eavesdropper spends a
-constant number of modular operations whatever the size of p.
+The headline attack recovers the key of a session on any platform from
+public data alone.  The displacement d(x) = w^x * w^-1 is a
+homomorphism on the private subgroup: on the p-groups [w, <b>] is
+central, and on the tree d is GF(2)-linear into an elementary abelian
+group (`TreeSylowGroup.private_log` has the argument).  So the key, w
+moved by both privates, is d(x) d(y) w = w_x * w^-1 * w_y: two products
+whatever the size of the group, the degenerate case of the linear
+decomposition attack (Myasnikov and Roman'kov, Groups Complexity
+Cryptology 7, 2015).
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .arith import OpCounter
-from .errors import NoSolutionError, TooLargeError
+from .errors import PlatformMismatchError, TooLargeError
 
 
 @dataclass
@@ -39,41 +42,28 @@ class AttackReport:
 
 
 def bsgs_break(w, w_x, w_y) -> AttackReport:
-    """Recover the shared key of a metacyclic session from public data.
+    """Recover the shared key of a session from public data: the base w
+    and the two publics.
 
-    The quotient q = (a-exponent of w_x) / (a-exponent of w) mod p^m is
-    Alice's twist power; `MetacyclicGroup.twist_log` reads the least
-    exponent s with twist^s = q off it by one division, and the key's
-    exponent is w_y's times q.  That is 2 modular multiplications for any
-    p.  The name is historical: no baby-step giant-step runs here.  The
-    generic O(sqrt(p)) search `arith.bsgs_dlog(group.twist, q, group.pm,
-    group.p)` finds the same exponent; the tests hold `twist_log` to it.
+    The key is w_x * w^-1 * w_y, and `exponent` is the index of a
+    private that moves w to w_x, from `group.private_log`: the least
+    s in [0, p) with b^s on the p-groups, read by one division, and a
+    level-(k-2) label mask on the tree, solved over GF(2) for
+    k <= MAX_SUBGROUP_DEPTH.  The name is historical: no baby-step
+    giant-step runs here; `arith.bsgs_dlog` is the tests' oracle for
+    the metacyclic s.
     """
     group = w.group
-    if group.kind != "metacyclic":
-        raise NoSolutionError("twist-log attack applies to the metacyclic platform")
     if w_x.group != group or w_y.group != group:
-        raise NoSolutionError("inputs come from different platforms")
-    if w.j != 0 or w_x.j != 0 or w_y.j != 0:
-        raise NoSolutionError("attack expects base and publics inside <a>")
-    if w.i % group.p == 0:
-        raise NoSolutionError("base exponent must be a unit mod p")
-
+        raise PlatformMismatchError("public values come from another group than the base")
     started = time.perf_counter()
-    ops = OpCounter()
-    pm = group.pm
-    # twist^s = w_x.i / w.i; the quotient is itself the needed twist power.
-    twist_power = w_x.i * pow(w.i, -1, pm) % pm
-    ops.tick()
-    exponent = group.twist_log(twist_power)
-    key_exp = w_y.i * twist_power
-    ops.tick()
-    recovered = group.element(key_exp, 0)
+    exponent = group.private_log(w, w_x)
+    recovered = w_x * w.inverse() * w_y
     wall_ms = (time.perf_counter() - started) * 1000.0
     return AttackReport(
         recovered_key=recovered.canonical().encode("ascii"),
         exponent=exponent,
-        group_ops=ops.count,
+        group_ops=2,  # the two products of the key
         wall_ms=wall_ms,
     )
 

@@ -18,7 +18,8 @@ class DepthMismatchError(ParamMismatchError):
 
 
 class NoSolutionError(ConjKexError):
-    """Discrete-log target lies outside the cyclic subgroup searched."""
+    """No solution exists: a discrete-log target outside the cyclic
+    subgroup searched, or a value that no private conjugates the base to."""
 
 
 class TooLargeError(ConjKexError):

@@ -83,6 +83,10 @@ class HeisenbergGroup(PGroup):
         # Conjugation sweeps the c-exponent over Z_p.
         return (_make(self, w.i, w.j, k) for k in range(self.p))
 
+    def _shift(self, w: HeisenbergElement, w_x: HeisenbergElement) -> int | None:
+        # Conjugation by b^s moves the c-exponent by i*s and keeps i and j.
+        return w_x.k - w.k if (w_x.i, w_x.j) == (w.i, w.j) else None
+
 
 heisenberg_group = cache(HeisenbergGroup)
 

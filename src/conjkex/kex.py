@@ -148,9 +148,6 @@ class Transcript:
             raise TranscriptError(f"expected exactly one {kind!r} message")
         return found[0]
 
-    def platform(self) -> str:
-        return self._only("params").get("platform", "")
-
     def base_element(self):
         """The base w, checked against the platform and parameters that
         the params message states beside it."""

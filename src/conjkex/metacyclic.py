@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cache
 
 from .core import PElement, PGroup, canonical_parser, mutable_twin
-from .errors import NoSolutionError
 
 
 class MetaElement(PElement):
@@ -85,7 +84,7 @@ class MetacyclicGroup(PGroup):
 
     # twist^j depends only on j mod p, as twist has order p (so twist^-j
     # is twist^(p-j)); cache the cycle for small p, from the closed form
-    # twist^s = 1 + s*p^(m-1) of `twist_log`, which is below p^m for s < p.
+    # twist^s = 1 + s*p^(m-1) of `_shift`, which is below p^m for s < p.
     def twist_pow(self, j: int) -> int:
         j %= self.p
         if self.p <= 1 << 16:
@@ -95,21 +94,14 @@ class MetacyclicGroup(PGroup):
             return self._twist_pows[j]
         return pow(self.twist, j, self.pm)
 
-    def twist_log(self, u: int) -> int:
-        """Least s in [0, p) with twist^s = u (mod p^m), in O(1) operations.
-
-        Since m >= 2, (p^(m-1))^2 = p^(2m-2) is 0 mod p^m, so the binomial
-        expansion of twist^s = (1 + p^(m-1))^s stops after its linear term:
-        twist^s = 1 + s*p^(m-1) (mod p^m).  Hence s = (u - 1) / p^(m-1),
-        and u is a twist power exactly when p^(m-1) divides u - 1.
-        Raises NoSolutionError otherwise (non-units included).
-        """
-        s, rest = divmod(u % self.pm - 1, self.twist - 1)
-        if rest:
-            raise NoSolutionError(
-                f"{u} is not in the subgroup generated by {self.twist} mod {self.pm}"
-            )
-        return s
+    def _shift(self, w: MetaElement, w_x: MetaElement) -> int | None:
+        """Steps of p^(m-1) from w.i to w_x.i.  Since m >= 2,
+        (p^(m-1))^2 = p^(2m-2) is 0 mod p^m, so the binomial expansion of
+        twist^s = (1 + p^(m-1))^s stops after its linear term:
+        twist^s = 1 + s*p^(m-1) (mod p^m), and conjugation by b^s moves
+        i by i*s*p^(m-1) and keeps j."""
+        shift, rest = divmod(w_x.i - w.i, self.twist - 1)
+        return None if rest or w_x.j != w.j else shift
 
     def generator_elements(self) -> list[MetaElement]:
         return [self.a(), self.b()]

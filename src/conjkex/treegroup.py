@@ -64,6 +64,7 @@ from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
     LevelOutOfRangeError,
+    NoSolutionError,
     NotAGroupError,
     ParseError,
     TooLargeError,
@@ -73,7 +74,7 @@ _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_ENUM_DEPTH = 4    # exhaustive enumeration
-MAX_SUBGROUP_DEPTH = 8  # Subgroup: G' and Phi(G') take about 2.7 s at k = 8
+MAX_SUBGROUP_DEPTH = 8  # Subgroup (G' and Phi(G') take about 2.7 s at k = 8), private_log
 
 
 class TreeSylowGroup(Group):
@@ -330,6 +331,46 @@ class TreeSylowGroup(Group):
             return False
         packed = w.packed
         return bool(packed >> (3 << (self.k - 2)) or (packed ^ packed >> 1) & self._bottom_pairs)
+
+    def private_log(self, w: "Portrait", w_x: "Portrait") -> int:
+        """A level-(k-2) label mask s with w.conjugate_by(x_s) == w_x, for
+        x_s = commuting_conjugator(s); NoSolutionError when there is none.
+
+        packed(w^(x_s)) XOR packed(w) is GF(2)-linear in s.  Conjugation
+        by any portrait maps the label of a level-(k-2) vertex to the
+        label of one such vertex, alone or with both bottom labels below
+        it.  So d(x) = x^-1 * (w * x * w^-1) lies in the elementary
+        abelian group that the privates and those bottom pairs generate,
+        where products are XORs, and d is linear; w^x = d(x) * w is d(x)
+        XOR w with w's bottom pairs under d(x)'s level-(k-2) labels
+        swapped, linear in d(x) too.  (d being a homomorphism is also
+        why the key is w_x * w^-1 * w_y.)  So s is solved over the
+        images of the 2^(k-2) single-vertex privates, reduced by leading
+        bit as `Subgroup` keys its basis.  That is 2^(k-2) conjugations,
+        refused before the first past MAX_SUBGROUP_DEPTH: the solve
+        takes 0.08-0.2 s at k = 14 and 0.5-2.3 s at k = 16 (default to
+        dense bases, CPython 3.11), and from k = 16 s can pass Python's
+        4300-digit int-to-str limit.
+        """
+        if self.k > MAX_SUBGROUP_DEPTH:
+            raise DepthTooLargeError(f"private_log limited to k <= {MAX_SUBGROUP_DEPTH}")
+        pivots: dict[int, tuple[int, int]] = {}
+
+        def reduce(image: int, s: int) -> tuple[int, int]:
+            while image and (pivot := pivots.get(image.bit_length())):
+                image ^= pivot[0]
+                s ^= pivot[1]
+            return image, s
+
+        for bit in range(1 << self.commuting_subgroup_level()):
+            x = self.commuting_conjugator(1 << bit)
+            image, s = reduce(w.conjugate_by(x).packed ^ w.packed, 1 << bit)
+            if image:
+                pivots[image.bit_length()] = (image, s)
+        image, s = reduce(w_x.packed ^ w.packed, 0)
+        if image:
+            raise NoSolutionError("no level-(k-2) private conjugates the base to this value")
+        return s
 
     def _mismatch(self, other: "TreeSylowGroup") -> DepthMismatchError:
         return DepthMismatchError(f"depth mismatch: {self.k} vs {other.k}")

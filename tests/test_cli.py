@@ -7,8 +7,8 @@ import time
 import pytest
 
 from conjkex.cli import main
-from conjkex.kex import parse_element
-from conjkex.treegroup import tree_group
+from conjkex.kex import Transcript, parse_element
+from conjkex.treegroup import Portrait, tree_group
 
 
 def run_cli(capsys, *argv):
@@ -249,12 +249,57 @@ def test_attack_requires_debug_key(capsys, tmp_path):
     assert "error" in err
 
 
-def test_attack_rejects_tree_transcript(capsys, tmp_path):
+PLATFORM_ARGS = {
+    "metacyclic": ["--platform", "metacyclic", "-p", "1009", "-m", "2", "-n", "2"],
+    "heisenberg": ["--platform", "heisenberg", "-p", "1009", "-m", "2", "-n", "2"],
+    **{f"tree-{k}": ["--platform", "tree", "-k", str(k)] for k in range(2, 9)},
+}
+
+
+@pytest.mark.parametrize("platform", PLATFORM_ARGS)
+def test_attack_recovers_the_key_on_every_platform(capsys, tmp_path, platform):
+    path, keys = _write_demo_transcript(capsys, tmp_path, platform_args=PLATFORM_ARGS[platform])
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["recovered_key"] == keys["key_alice"]
+    assert report["group_ops"] == "2"
+    # The exponent indexes a private that moves the base to Alice's public.
+    transcript = Transcript.from_text(path.read_text())
+    w, w_x = transcript.base_element(), transcript.public_from("alice")
+    assert w.conjugate_by(w.group.commuting_conjugator(int(report["exponent"]))) == w_x
+
+
+def test_attack_refuses_the_tree_past_depth_8_before_conjugating(capsys, tmp_path, monkeypatch):
     path, _ = _write_demo_transcript(
-        capsys, tmp_path, platform_args=["--platform", "tree", "-k", "3"]
+        capsys, tmp_path, platform_args=["--platform", "tree", "-k", "9"]
     )
-    code, _, _ = run_cli(capsys, "attack", "--transcript", str(path))
-    assert code == 2
+
+    def refuse(*_):
+        raise AssertionError("conjugated before refusing the depth")
+
+    monkeypatch.setattr(Portrait, "conjugate_by", refuse)
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: private_log limited to k <= 8\n"
+
+
+@pytest.mark.parametrize("other", [
+    ["--platform", "heisenberg", "-p", "1009", "-m", "2", "-n", "2"],
+    ["--platform", "metacyclic", "-p", "1013", "-m", "2", "-n", "2"],
+    ["--platform", "metacyclic", "-p", "1009", "-m", "3", "-n", "2"],
+    ["--platform", "tree", "-k", "4"],
+], ids=["other-platform", "other-p", "other-m", "tree"])
+def test_attack_refuses_a_public_from_another_group(capsys, tmp_path, other):
+    path, _ = _write_demo_transcript(capsys, tmp_path)
+    (tmp_path / "other").mkdir()
+    foreign, _ = _write_demo_transcript(capsys, tmp_path / "other", platform_args=other)
+    bob = [line for line in foreign.read_text().splitlines() if '"from":"bob"' in line]
+    lines = [bob[0] if '"from":"bob"' in line else line for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_attack_rejects_truncated_transcript(capsys, tmp_path):

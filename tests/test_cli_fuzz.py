@@ -14,7 +14,7 @@ valid small p-group (p <= 7, at most 7^6 elements), so that the command
 runs real group arithmetic; there the outcome is pinned: a handshake
 agrees, an element operation succeeds, stats answers exactly when the
 group fits under the cap, and the attack recovers the key of a whole
-metacyclic transcript.
+transcript on either p-group platform.
 """
 
 import contextlib
@@ -224,14 +224,14 @@ def transcript_texts(draw):
 def write_genuine_transcript(draw, path):
     """Write the transcript of a small p-group handshake, with the debug
     key the attack checks against, to `path`, maybe with one line
-    replaced; True when it is left whole and on the attack's platform."""
+    replaced; True when it is left whole, so that the attack must break it."""
     argv = [*small_pgroup_demo(draw), "--transcript", str(path)]
     if "--debug-key" not in argv:
         argv.append("--debug-key")
     code, err = run(argv)
     assert code == 0, (argv, err)
     if not draw(st.booleans()):
-        return "metacyclic" in argv
+        return True
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[draw(st.integers(0, len(lines) - 1))] = draw(transcript_texts())
     path.write_text("\n".join(lines), encoding="utf-8")

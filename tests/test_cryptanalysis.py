@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conjkex.cryptanalysis import bsgs_break, orbit_stats
-from conjkex.errors import NoSolutionError, TooLargeError
+from conjkex.errors import NoSolutionError, PlatformMismatchError, TooLargeError
 from conjkex.heisenberg import heisenberg_group
 from conjkex.kex import Session, run_demo
 from conjkex.metacyclic import metacyclic_group
@@ -90,8 +90,7 @@ def test_brute_and_bsgs_agree_modulo_p():
         assert s_brute == report.exponent  # both return the least solution
 
 
-# The closed-form twist log spends one multiplication for the twist
-# power and one for the key, whatever the size of p.
+# The key is two products, w_x * w^-1 * w_y, whatever the size of p.
 ATTACK_GROUP_OPS = 2
 
 
@@ -106,17 +105,42 @@ def test_op_count_is_constant_in_p(p):
     assert report.exponent == 12345 % p
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_break_recovers_tree_keys_on_dense_bases(k):
+    # The two-product key and the GF(2) solve, on random dense bases as
+    # well as the default one.
+    G = tree_group(k)
+    rng = random.Random(71 + k)
+    bases = [G.default_base()]
+    while len(bases) < 8:
+        w = G.from_packed(rng.randrange(G.order))
+        if G.usable_base(w):
+            bases.append(w)
+    for w in bases:
+        result = run_demo(w, rng.randrange(1 << 32), rng.randrange(1 << 32))
+        w_x = result.transcript.public_from("alice")
+        report = bsgs_break(w, w_x, result.transcript.public_from("bob"))
+        assert report.recovered_key == result.key_alice
+        assert report.group_ops == 2
+        assert w.conjugate_by(G.commuting_conjugator(report.exponent)) == w_x
+
+
 def test_bsgs_break_rejects_bad_inputs():
     G = metacyclic_group(3, 2, 2)
     H = heisenberg_group(3, 1, 1)
+    T = tree_group(3)
+    # Heisenberg values are valid input now: the break reads every platform.
+    assert bsgs_break(H.a(), H.a(), H.a()).recovered_key == H.a().canonical().encode()
+    for mixed in [(G.a(1), G.a(4), H.a()), (G.a(1), H.a(), G.a(4)),
+                  (H.a(), H.a(), T.default_base()), (G.a(1), G.a(4), metacyclic_group(3, 2, 1).a(4))]:
+        with pytest.raises(PlatformMismatchError):
+            bsgs_break(*mixed)
     with pytest.raises(NoSolutionError):
-        bsgs_break(H.a(), H.a(), H.a())  # wrong platform
-    with pytest.raises(NoSolutionError):
-        bsgs_break(G.a(1), G.b(1), G.a(4))  # public outside <a>
-    with pytest.raises(NoSolutionError):
-        bsgs_break(G.a(3), G.a(3), G.a(3))  # base exponent not a unit
+        bsgs_break(G.a(1), G.b(1), G.a(4))  # public outside the base's orbit
     with pytest.raises(NoSolutionError):
         bsgs_break(G.a(1), G.a(2), G.a(4))  # a2 not in the twist orbit
+    with pytest.raises(NoSolutionError):
+        bsgs_break(G.a(3), G.a(6), G.a(3))  # every private fixes a central base
 
 
 def test_brute_conjugacy_on_tree_platform():

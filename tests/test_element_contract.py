@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conjkex.errors import (
     DepthMismatchError,
+    NoSolutionError,
     ParamMismatchError,
     ParseError,
     TooLargeError,
@@ -234,6 +235,19 @@ def test_every_platform_answers_the_contract(g):
     for w in [G.identity(), *center, *privates]:
         assert not validate_base(w), w
     assert validate_base(G.default_base())
+    # private_log: on every usable base (dense ones too, on the tree), an
+    # index whose private moves the base to each drawn public, and a
+    # refusal for every element outside the base's orbit.
+    every_private = [G.commuting_conjugator(s) for s in range(G.commuting_subgroup_order())]
+    for w in filter(validate_base, elements):
+        for _ in range(4):
+            w_x = w.conjugate_by(sample_private(G, rng))
+            assert w.conjugate_by(G.commuting_conjugator(G.private_log(w, w_x))) == w_x
+        orbit = {w.conjugate_by(x) for x in every_private}
+        for h in elements:
+            if h not in orbit:
+                with pytest.raises(NoSolutionError):
+                    G.private_log(w, h)
 
 
 # ------------------------------------------------------ the shared element base

@@ -224,7 +224,7 @@ def test_transcript_roundtrip():
     text = result.transcript.to_text()
     parsed = Transcript.from_text(text)
     assert parsed.to_text() == text
-    assert parsed.platform() == "tree"
+    assert parsed.base_element().group.kind == "tree"
     assert parsed.base_element() == tree_group(3).default_base()
     assert parsed.debug_key() == result.key_alice
 

@@ -105,12 +105,19 @@ def test_class_examples():
 
 
 # -------------------------------------------------------------- twist log
+# The platform's private_log is the twist log: G.private_log(a, a^u) is
+# the least s in [0, p) with twist^s = u (mod p^m), since conjugation by
+# b^s multiplies a-exponents by twist^s.
+
+def twist_log(G, u):
+    return G.private_log(G.a(1), G.a(u))
+
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (7, 4), (101, 2), (1009, 3)])
 def test_twist_log_inverts_twist_pow(p, m):
     G = metacyclic_group(p, m, 1)
     for s in range(p):
-        assert G.twist_log(G.twist_pow(s)) == s
+        assert twist_log(G, G.twist_pow(s)) == s
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 7), (5, 3), (7, 4), (101, 2), (1009, 3)])
@@ -133,19 +140,19 @@ def test_twist_log_matches_bsgs(m):
                 expected = bsgs_dlog(G.twist, u, G.pm, p)
             except NoSolutionError:
                 with pytest.raises(NoSolutionError):
-                    G.twist_log(u)
+                    twist_log(G, u)
             else:
-                assert G.twist_log(u) == expected
+                assert twist_log(G, u) == expected
 
 
 def test_twist_log_rejects_targets_outside_the_twist_group():
     G = metacyclic_group(7, 3, 1)  # the twist powers are the u = 1 mod 49
     for u in (2, 48, 51, G.pm - 1):
         with pytest.raises(NoSolutionError):
-            G.twist_log(u)
+            twist_log(G, u)
     for u in (0, 7, 49, 7 * 50):  # non-units
         with pytest.raises(NoSolutionError):
-            G.twist_log(u)
+            twist_log(G, u)
 
 
 # -------------------------------------------------------------- invariants

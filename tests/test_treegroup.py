@@ -209,9 +209,9 @@ def test_level_subgroups_commute_and_have_doubling_size(k):
         for g, h in combinations(members, 2):
             assert g * h == h * g
         # closed under composition: XOR of masks
+        member_set = set(members)
         for g, h in combinations(members, 2):
-            prod = g * h
-            assert prod in set(members)
+            assert g * h in member_set
 
 
 def test_enumerated_orders_match_formulas():
