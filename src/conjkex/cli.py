@@ -4,7 +4,9 @@ Subcommands: demo (run a key exchange, optionally writing a replayable
 transcript), verify (structural claim suites), attack (recover a demo
 transcript's key from public data, on every platform; the tree up to
 depth 8), element (scriptable group arithmetic), tree (Sylow subgroup
-facts for one depth), stats (orbit and key-space statistics).
+facts for one depth), stats (orbit and key-space statistics, by
+enumerating a group of at most `core.ENUMERATION_CAP` elements).
+Every --platform takes its own group flags only (-p, -m, -n or -k).
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 failed claims or failed attack, 2 bad usage or
@@ -54,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="theorems|center|orbit|sylow|growth|all",
     )
-    ver.add_argument("--max-order", type=int, default=verify.DEFAULT_MAX_ORDER)
     ver.add_argument("--long", action="store_true", help="include the k=4 sylow and growth claims")
 
     attack = sub.add_parser("attack", help="recover a demo transcript's key from public values")
@@ -72,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="orbit and key-space statistics")
     _platform_flags(stats)
-    stats.add_argument("--cap", type=int, default=10 ** 5)
     return parser
 
 
@@ -85,13 +85,18 @@ def _platform_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _group_from_args(args) -> object:
+    """The group that --platform and its flags name.  A platform needs
+    each of its own flags and refuses another platform's."""
     factory = kex.PLATFORMS[args.platform]
     names = inspect.signature(factory).parameters
+    flags = [f"-{name}" for name in names]
+    listed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
     values = [getattr(args, name) for name in names]
     if None in values:
-        flags = [f"-{name}" for name in names]
-        needed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
-        raise ValueError(f"{args.platform} platform needs {needed}")
+        raise ValueError(f"{args.platform} platform needs {listed}")
+    foreign = [f"-{x}" for x in "pmnk" if x not in names and getattr(args, x) is not None]
+    if foreign:
+        raise ValueError(f"{args.platform} platform takes only {listed}, not {', '.join(foreign)}")
     return factory(*values)
 
 
@@ -125,7 +130,7 @@ def _cmd_demo(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(names, long=args.long, max_order=args.max_order)
+    results = verify.run_suites(names, long=args.long)
     for r in results:
         print(r.to_json())
     print(verify.summary_table(results), file=sys.stderr)
@@ -201,7 +206,7 @@ def _cmd_tree(args) -> int:
 
 def _cmd_stats(args) -> int:
     group = _group_from_args(args)
-    histogram = cryptanalysis.orbit_stats(group, cap=args.cap)
+    histogram = cryptanalysis.orbit_stats(group)
     stats: dict = {
         "platform": args.platform,
         "class_sizes": {str(size): count for size, count in sorted(histogram.items())},

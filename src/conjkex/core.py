@@ -50,6 +50,13 @@ from operator import attrgetter
 from .arith import is_probable_prime
 from .errors import ConjKexError, NoSolutionError, ParamMismatchError, ParseError, TooLargeError
 
+# The one enumeration limit: how many elements an enumeration may visit.
+# It bounds the p-groups' `elements()` and `center_elements()`, the
+# tree's `elements()` (k <= 4) and `level_subgroup` (level <= 4), and
+# `Subgroup.elements()` (|H| <= 2^19), and through `elements()` the
+# class histogram of `cryptanalysis.orbit_stats` and `stats`.  Each
+# refusal names the order as a power: `str` refuses ints past 4300 decimal
+# digits, which a tree from k = 14 and a p-group of large m + n reach.
 ENUMERATION_CAP = 10 ** 6
 # Python converts ints of at most 4300 decimal digits to and from text, so
 # p^m and p^n stay below 10^4300 and every exponent of a p-group prints.
@@ -270,7 +277,7 @@ class PGroup(Group):
     def center_elements(self) -> list:
         """The centre, enumerated directly: <a^p, b^p>, times any c."""
         if self.center_order() > ENUMERATION_CAP:
-            raise TooLargeError("center too large to enumerate")
+            raise TooLargeError(f"|Z(G)| = {self.p}^{self.log_order - 2} is beyond enumeration")
         p = self.p
         ranges = (range(0, self.pm, p), range(0, self.pn, p), *map(range, self.moduli[2:]))
         return list(starmap(self._make, product((self,), *ranges)))

@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .errors import PlatformMismatchError, TooLargeError
+from .errors import PlatformMismatchError
 
 
 @dataclass
@@ -68,12 +68,9 @@ def bsgs_break(w, w_x, w_y) -> AttackReport:
     )
 
 
-def orbit_stats(group, cap: int = 10 ** 5) -> dict[int, int]:
-    """Histogram {class size: number of classes} over the whole group."""
-    # The order is named as a power: past 4300 decimal digits, which a
-    # tree from k = 14 and a p-group of large m + n reach, `str` refuses it.
-    if group.order > cap:
-        raise TooLargeError(f"|G| = {group.p}^{group.log_order} exceeds cap {cap}")
+def orbit_stats(group) -> dict[int, int]:
+    """Histogram {class size: number of classes} over the whole group,
+    which `group.elements()` refuses past `core.ENUMERATION_CAP`."""
     seen = set()
     histogram: dict[int, int] = {}
     for g in group.elements():

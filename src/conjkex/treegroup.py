@@ -59,7 +59,7 @@ from functools import cache
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import Element, Group, mutable_twin
+from .core import ENUMERATION_CAP, Element, Group, mutable_twin
 from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
@@ -73,7 +73,6 @@ from .errors import (
 _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
-MAX_ENUM_DEPTH = 4    # exhaustive enumeration
 MAX_SUBGROUP_DEPTH = 8  # Subgroup (G' and Phi(G') take about 2.7 s at k = 8), private_log
 
 
@@ -204,8 +203,8 @@ class TreeSylowGroup(Group):
     # -------------------------------------------------------- enumeration
 
     def elements(self, even_only: bool = False) -> Iterator["Portrait"]:
-        if self.k > MAX_ENUM_DEPTH:
-            raise DepthTooLargeError(f"enumeration limited to k <= {MAX_ENUM_DEPTH}")
+        if self.order > ENUMERATION_CAP:
+            raise DepthTooLargeError(f"|G| = 2^{self.log_order} is beyond enumeration")
         bottom = self._bottom
         for packed in range(1 << self.bit_count):
             # Portrait.is_even's test, before a portrait is built.
@@ -216,10 +215,9 @@ class TreeSylowGroup(Group):
     def level_subgroup(self, level: int, even_only: bool = False) -> list["Portrait"]:
         """All portraits supported on one level: an elementary abelian
         commuting family of size 2^(2^level)."""
-        self._check_level(level)
+        if self.level_subgroup_order(level) > ENUMERATION_CAP:
+            raise DepthTooLargeError(f"|H| = 2^{1 << level} is beyond enumeration")
         width = 1 << level
-        if width > 1 << MAX_ENUM_DEPTH:
-            raise DepthTooLargeError("level too wide to enumerate")
         # Portrait.is_even's test, on the mask: only bottom labels count.
         even_only = even_only and level == self.k - 1
         out = []
@@ -605,7 +603,7 @@ class Subgroup:
         return Subgroup(self.group, seeds, pairs)
 
     def elements(self) -> frozenset:
-        if len(self._basis) >= 1 << MAX_ENUM_DEPTH:
+        if self.order > ENUMERATION_CAP:
             raise TooLargeError(f"|H| = 2^{len(self._basis)} is beyond enumeration")
         els = [self.group.identity()]
         for r in self.basis:

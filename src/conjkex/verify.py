@@ -5,16 +5,18 @@ engine (never by the closed forms under test), places it beside the
 predicted value, and reports pass/fail.  The measurement routes
 deliberately use only element multiplication and inversion, which the
 test suite pins against independent rewriting/permutation oracles.
-The two metacyclic suites, theorems and center, read the conjugation
-action off index lists that products fill.  Theorems builds one full
-table per generator, 2|G| + 2(p^m + p^n) + 4 products per group, and
-closes the classes over the tables with no element sets.  Center takes
-Z(G) as the elements that conjugation by a and by b both fix, and
-conjugates by b only the |G|/p elements that a fixes, so a group costs
-|G| + |G|/p + 2(p^m + p^n) + 4 products.  The growth suite checks that a
-level's 2^l single-vertex generators commute pairwise and that their
-subset products are exactly the level subgroup, 2^l (2^l - 1) +
-2^(2^l) - 1 products per level instead of one pair per two members.
+The two metacyclic suites, theorems and center, cover the 12 fixed
+groups of `default_param_grid`, none above 7^5 elements, and read the
+conjugation action off index lists that products fill.  Theorems builds
+one full table per generator, 2|G| + 2(p^m + p^n) + 4 products per
+group, and closes the classes over the tables with no element sets.
+Center takes Z(G) as the elements that conjugation by a and by b both
+fix, and conjugates by b only the |G|/p elements that a fixes, so a
+group costs |G| + |G|/p + 2(p^m + p^n) + 4 products.  The growth suite
+checks that a level's 2^l single-vertex generators commute pairwise and
+that their subset products are exactly the level subgroup,
+2^l (2^l - 1) + 2^(2^l) - 1 products per level instead of one pair per
+two members.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .core import conjugation_orbit, conjugation_pairs
@@ -33,7 +36,6 @@ from .treegroup import tree_group
 DEFAULT_PRIMES = (3, 5, 7)
 DEFAULT_MS = (2, 3)
 DEFAULT_NS = (1, 2)
-DEFAULT_MAX_ORDER = 10 ** 5
 
 
 @dataclass
@@ -59,14 +61,10 @@ class ClaimResult:
         )
 
 
-def default_param_grid(max_order: int = DEFAULT_MAX_ORDER) -> list[tuple[int, int, int]]:
-    grid = []
-    for p in DEFAULT_PRIMES:
-        for m in DEFAULT_MS:
-            for n in DEFAULT_NS:
-                if p ** (m + n) <= max_order:
-                    grid.append((p, m, n))
-    return grid
+def default_param_grid() -> list[tuple[int, int, int]]:
+    """The 12 metacyclic groups of the theorems and center suites, the
+    largest of order 7^5 = 16,807."""
+    return list(product(DEFAULT_PRIMES, DEFAULT_MS, DEFAULT_NS))
 
 
 # ------------------------------------------------- independent measurement
@@ -137,10 +135,7 @@ def _claim(claim_id, params, paper_value, measured_value, started) -> ClaimResul
 
 # ---------------------------------------------------------------- theorems
 
-def class_size_claims(
-    grid: Iterable[tuple[int, int, int]] | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> list[ClaimResult]:
+def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
     """Every non-central class has size exactly p; central classes are
     singletons.  Exhaustive over each group in the grid.
 
@@ -151,7 +146,7 @@ def class_size_claims(
     products, two inverses, and no element sets.
     """
     results = []
-    for p, m, n in grid if grid is not None else default_param_grid(max_order):
+    for p, m, n in grid:
         started = time.perf_counter()
         group = metacyclic_group(p, m, n)
         tables = _conjugation_tables(group)
@@ -181,10 +176,7 @@ def class_size_claims(
     return results
 
 
-def center_claims(
-    grid: Iterable[tuple[int, int, int]] | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> list[ClaimResult]:
+def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
     """|Z(G)| = p^(m+n-2), and Z(G) is exactly <a^p, b^p>.
 
     Z(G) is the set of elements that conjugation by a and by b both fix.
@@ -195,7 +187,7 @@ def center_claims(
     is then compared by index with `center_elements()`.
     """
     results = []
-    for p, m, n in grid if grid is not None else default_param_grid(max_order):
+    for p, m, n in grid:
         group = metacyclic_group(p, m, n)
         started = time.perf_counter()
         pn = group.pn
@@ -339,29 +331,18 @@ def commuting_growth_claims(k: int) -> list[ClaimResult]:
 SUITES = ("theorems", "center", "orbit", "sylow", "growth")
 
 
-def run_suites(
-    names: Iterable[str],
-    long: bool = False,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> list[ClaimResult]:
-    """Run the named suites and return their claims sorted by id.
+def run_suites(names: Iterable[str], long: bool = False) -> list[ClaimResult]:
+    """Run the named suites and return their claims sorted by id.  The
+    metacyclic ones (theorems, center) cover `default_param_grid()`, and
+    `long` adds the k = 4 derived-subgroup and growth claims.
 
-    Raises ValueError for an unknown suite, and for a metacyclic grid
-    suite (theorems, center) when `max_order` leaves its grid empty: a
-    suite that checks nothing must not read as passed.
+    Raises ValueError for an unknown suite.
     """
     results: list[ClaimResult] = []
     for name in names:
         if name in ("theorems", "center"):
-            grid = default_param_grid(max_order)
-            if not grid:
-                raise ValueError(
-                    f"max order {max_order} leaves the {name} suite no group "
-                    f"(the smallest has order "
-                    f"{min(DEFAULT_PRIMES) ** (min(DEFAULT_MS) + min(DEFAULT_NS))})"
-                )
             suite = class_size_claims if name == "theorems" else center_claims
-            results.extend(suite(grid))
+            results.extend(suite(default_param_grid()))
         elif name == "orbit":
             results.extend(heisenberg_orbit_claims())
         elif name == "sylow":

@@ -34,7 +34,7 @@ def report(number: int, description: str, passed: bool) -> None:
 
 def test_criterion_1_conjugacy_class_sizes():
     started = time.perf_counter()
-    grid = default_param_grid(max_order=10 ** 5)
+    grid = default_param_grid()
     results = class_size_claims(grid=grid)
     elapsed = time.perf_counter() - started
     ok = len(results) == 12 and all(r.passed for r in results) and elapsed < 60
@@ -47,7 +47,7 @@ def test_criterion_1_conjugacy_class_sizes():
 
 
 def test_criterion_2_center_order_and_generators():
-    results = center_claims(grid=default_param_grid(max_order=10 ** 5))
+    results = center_claims(grid=default_param_grid())
     order_ok = all(r.passed for r in results if r.claim_id == "center.order")
     subgroup_ok = all(r.passed for r in results if r.claim_id == "center.subgroup")
     report(

@@ -75,6 +75,30 @@ def test_demo_missing_params(capsys):
     assert err == "error: heisenberg platform needs -p, -m and -n\n"
 
 
+@pytest.mark.parametrize("command", ["demo", "stats"])
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        (
+            ["--platform", "metacyclic", "-p", "3", "-m", "2", "-n", "2", "-k", "7"],
+            "error: metacyclic platform takes only -p, -m and -n, not -k\n",
+        ),
+        (
+            ["--platform", "tree", "-k", "3", "-p", "5"],
+            "error: tree platform takes only -k, not -p\n",
+        ),
+        (
+            ["--platform", "tree", "-k", "3", "-p", "5", "-m", "2", "-n", "1"],
+            "error: tree platform takes only -k, not -p, -m, -n\n",
+        ),
+    ],
+)
+def test_a_flag_of_another_platform_is_a_usage_error(capsys, command, flags, refusal):
+    seeds = ["--seed-a", "1", "--seed-b", "2"] if command == "demo" else []
+    code, out, err = run_cli(capsys, command, *flags, *seeds)
+    assert (code, out, err) == (2, "", refusal)
+
+
 def test_demo_tree(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -139,7 +163,7 @@ def test_unknown_flag_is_an_error(capsys):
 # ------------------------------------------------------------------- verify
 
 def test_verify_theorems_suite(capsys):
-    code, out, err = run_cli(capsys, "verify", "--suite", "theorems", "--max-order", "300")
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorems")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines
@@ -153,19 +177,23 @@ def test_verify_theorems_suite(capsys):
 @pytest.mark.parametrize("suite", ["theorems", "center", "all"])
 @pytest.mark.parametrize("max_order", ["0", "-5", "26"])
 def test_verify_empty_grid_is_a_usage_error(capsys, suite, max_order):
-    # Below |G| = 27 no metacyclic group is left, so a grid suite would
-    # print no claims and the run would read as passed.
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-order", max_order)
-    assert code == 2
+    # The grid suites run on a fixed grid that no option can empty:
+    # verify takes no --max-order, and argparse refuses it.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--max-order", max_order])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
-    assert "error" in err and "no group" in err
+    assert "error" in err and "--max-order" in err
 
 
-def test_verify_smallest_grid_runs(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "center", "--max-order", "27")
+def test_verify_center_measures_the_whole_grid(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "center")
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
-    assert {r["params"] for r in records} == {"p=3,m=2,n=1"}
+    params = {f"p={p},m={m},n={n}" for p in (3, 5, 7) for m in (2, 3) for n in (1, 2)}
+    assert {r["params"] for r in records} == params
+    assert len(records) == 2 * len(params) == 24
     assert all(r["pass"] for r in records)
 
 
@@ -533,7 +561,7 @@ def test_tree_command_prints_exact_orders_past_the_digit_limit(capsys, k):
 def test_stats_tree_cap_names_the_order_as_a_power(capsys, k, exponent):
     code, out, err = run_cli(capsys, "stats", "--platform", "tree", "-k", str(k))
     assert (code, out) == (2, "")
-    assert err == f"error: |G| = 2^{exponent} exceeds cap 100000\n"
+    assert err == f"error: |G| = 2^{exponent} is beyond enumeration\n"
 
 
 @pytest.mark.parametrize(
@@ -542,7 +570,7 @@ def test_stats_tree_cap_names_the_order_as_a_power(capsys, k, exponent):
         ("heisenberg", ("1009", "1400", "1400"), "1009^2801"),
         ("metacyclic", ("3", "2000", "2000"), "3^4000"),
         ("heisenberg", ("5", "4", "4"), "5^9"),
-        ("metacyclic", ("3", "10", "2"), "3^12"),
+        ("metacyclic", ("3", "11", "2"), "3^13"),
     ],
 )
 def test_stats_pgroup_cap_names_the_order_as_a_power(capsys, platform, params, power):
@@ -551,7 +579,7 @@ def test_stats_pgroup_cap_names_the_order_as_a_power(capsys, platform, params, p
     flags = [arg for flag, value in zip(("-p", "-m", "-n"), params) for arg in (flag, value)]
     code, out, err = run_cli(capsys, "stats", "--platform", platform, *flags)
     assert (code, out) == (2, "")
-    assert err == f"error: |G| = {power} exceeds cap 100000\n"
+    assert err == f"error: |G| = {power} is beyond enumeration\n"
 
 
 def test_stats_metacyclic(capsys):
@@ -578,9 +606,19 @@ def test_stats_cap(capsys):
     code, _, _ = run_cli(
         capsys,
         "stats", "--platform", "metacyclic", "-p", "1009", "-m", "2", "-n", "2",
-        "--cap", "1000",
     )
     assert code == 2
+
+
+def test_stats_runs_up_to_the_enumeration_limit(capsys):
+    # 7^6 = 117,649 elements, inside the 10^6-element limit.
+    code, out, err = run_cli(
+        capsys, "stats", "--platform", "heisenberg", "-p", "7", "-m", "3", "-n", "2"
+    )
+    assert (code, err) == (0, "")
+    stats = json.loads(out)
+    assert stats["class_sizes"] == {"1": 2401, "7": 16464}
+    assert stats["center_order"] == "2401"
 
 
 def test_console_entry_point():

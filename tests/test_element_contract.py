@@ -376,5 +376,7 @@ def test_pgroup_size_limit_is_reachable_and_exact(group_class, factory, at_limit
     # |G| itself passes the limit; the refusal names it as a power.
     with pytest.raises(TooLargeError, match=rf"^\|G\| = 3\^{G.log_order} is beyond enumeration$"):
         G.elements()
+    with pytest.raises(TooLargeError, match=rf"^\|Z\(G\)\| = 3\^{G.log_order - 2} is beyond"):
+        G.center_elements()
     with pytest.raises(TooLargeError, match=r"must be below 10\^4300"):
         group_class(3, *past_limit)

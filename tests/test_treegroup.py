@@ -544,6 +544,24 @@ def test_depth_and_level_errors():
         tree_group(21)
 
 
+def test_enumerations_share_the_one_limit():
+    # core.ENUMERATION_CAP = 10^6 elements bounds every enumeration.
+    G = tree_group(5)
+    with pytest.raises(DepthTooLargeError, match=r"^\|G\| = 2\^31 is beyond enumeration$"):
+        next(G.elements())
+    with pytest.raises(DepthTooLargeError, match=r"^\|H\| = 2\^32 is beyond enumeration$"):
+        tree_group(6).level_subgroup(5)
+    assert len(G.level_subgroup(4)) == 1 << 16
+    # The closure of the 16 level-4 generators is that level: 2^16 elements.
+    level4 = G.closure(G.single(4, pos) for pos in range(16))
+    assert len(level4.elements()) == level4.order == 1 << 16
+    # Levels 3 and 4 together generate 2^24 elements, past the limit.
+    wide = G.closure(G.single(level, pos) for level in (3, 4) for pos in range(1 << level))
+    assert wide.order == 1 << 24
+    with pytest.raises(TooLargeError, match=r"^\|H\| = 2\^24 is beyond enumeration$"):
+        wide.elements()
+
+
 def test_deep_tree_arithmetic():
     # pure portrait arithmetic stays exact far beyond enumeration range
     G = tree_group(12)
