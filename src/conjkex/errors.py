@@ -30,8 +30,9 @@ class LevelOutOfRangeError(ConjKexError):
     """Level index is outside [0, depth)."""
 
 
-class DepthTooLargeError(ConjKexError):
-    """Tree depth exceeds the enumeration limit for this operation."""
+class DepthTooLargeError(TooLargeError):
+    """Tree depth exceeds the limit of this operation: an enumeration
+    past the one limit, or the subgroup engine's depth."""
 
 
 class NotAGroupError(ConjKexError):
@@ -39,7 +40,7 @@ class NotAGroupError(ConjKexError):
 
 
 class SessionStateError(ConjKexError):
-    """Key-exchange session method called before its prerequisites."""
+    """The two parties' sampled privates do not commute."""
 
 
 class TranscriptError(ConjKexError):

@@ -17,9 +17,14 @@ This module states no platform policy; each group class states its own
   p-groups, and a portrait that some private moves on the tree.  A base
   that every private fixes would make every key equal to it.
 
+A `Session` is one party: it draws its private when it is built, from
+its own seed, and then only publishes and derives.
+
 Wire format: newline-delimited JSON messages with lowercase keys and no
 extra whitespace; integers travel as minimal decimal strings, elements
-as their canonical text forms.
+as their canonical text forms.  A reader looks each message up by its
+type (and, for a public value, its sender) and refuses a transcript in
+which that message is missing or repeated.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ def sample_private(group, rng: SplitMix64):
 
 
 class Session:
-    """One party's view of an in-progress exchange."""
+    """One party ("alice" or "bob") of an exchange, complete once built:
+    its private is `sample_private`'s draw from its own SplitMix64,
+    seeded with `seed`, so the parties' draws do not depend on each
+    other or on the order they are built in."""
 
     def __init__(self, role: str, base, seed: int):
         if role not in ("alice", "bob"):
@@ -82,31 +90,16 @@ class Session:
         if not validate_base(base):
             raise ValueError("base element is unusable (central or degenerate)")
         self.role = role
-        self.group = base.group
         self.base = base
-        self.seed = seed
-        self.private = None
-        self.peer_public = None
-        self.shared_key: bytes | None = None
-
-    def gen_private(self):
-        self.private = sample_private(self.group, SplitMix64(self.seed))
-        return self.private
+        self.private = sample_private(base.group, SplitMix64(seed))
 
     def public_value(self):
-        if self.private is None:
-            raise SessionStateError("generate the private element first")
         return self.base.conjugate_by(self.private)
 
-    def derive(self, peer_public) -> bytes:
-        if self.private is None:
-            raise SessionStateError("generate the private element first")
-        if peer_public.group != self.group:
+    def derive(self, peer_value) -> bytes:
+        if peer_value.group != self.base.group:
             raise PlatformMismatchError("peer value comes from a different platform")
-        self.peer_public = peer_public
-        shared = peer_public.conjugate_by(self.private)
-        self.shared_key = shared.canonical().encode("ascii")
-        return self.shared_key
+        return peer_value.conjugate_by(self.private).canonical().encode("ascii")
 
 
 def _dump(message: dict) -> str:
@@ -142,20 +135,30 @@ class Transcript:
             messages.append(message)
         return cls(messages)
 
-    def _only(self, kind: str) -> dict:
-        found = [m for m in self.messages if m.get("type") == kind]
+    def _only(self, kind: str, **match: str) -> dict:
+        """The one message of type `kind` whose fields equal `match`; a
+        missing or repeated one is refused."""
+        found = [
+            m for m in self.messages
+            if m.get("type") == kind and all(m.get(key) == value for key, value in match.items())
+        ]
         if len(found) != 1:
-            raise TranscriptError(f"expected exactly one {kind!r} message")
+            where = "".join(f", {key} {value!r}" for key, value in match.items())
+            raise TranscriptError(f"expected exactly one {kind!r} message{where}")
         return found[0]
+
+    @staticmethod
+    def _field(message: dict, key: str) -> str:
+        try:
+            return message[key]
+        except KeyError:
+            raise TranscriptError(f"{message['type']} message lacks the {key!r} field") from None
 
     def base_element(self):
         """The base w, checked against the platform and parameters that
         the params message states beside it."""
         params = self._only("params")
-        try:
-            w = parse_element(params["w"])
-        except KeyError:
-            raise TranscriptError("params message lacks the base element") from None
+        w = parse_element(self._field(params, "w"))
         for key, value in {"platform": w.group.kind, **w.group.wire_params()}.items():
             if params.get(key) != value:
                 raise TranscriptError(
@@ -165,22 +168,10 @@ class Transcript:
         return w
 
     def public_from(self, role: str):
-        for m in self.messages:
-            if m.get("type") == "public" and m.get("from") == role:
-                try:
-                    return parse_element(m["value"])
-                except KeyError:
-                    raise TranscriptError("public message lacks a value") from None
-        raise TranscriptError(f"no public value from {role!r}")
+        return parse_element(self._field(self._only("public", **{"from": role}), "value"))
 
     def debug_key(self) -> bytes:
-        for m in self.messages:
-            if m.get("type") == "debug":
-                try:
-                    return m["key"].encode("ascii")
-                except KeyError:
-                    raise TranscriptError("debug message lacks the key") from None
-        raise TranscriptError("transcript carries no debug key")
+        return self._field(self._only("debug"), "key").encode("ascii")
 
 
 @dataclass
@@ -199,10 +190,8 @@ def run_demo(base, seed_alice: int, seed_bob: int, debug_key: bool = False) -> D
     group = base.group
     alice = Session("alice", base, seed_alice)
     bob = Session("bob", base, seed_bob)
-    x = alice.gen_private()
-    y = bob.gen_private()
     # The algebra needs commuting privates; cheap to check outright.
-    if not x.commutes_with(y):
+    if not alice.private.commutes_with(bob.private):
         raise SessionStateError("sampled privates do not commute")
 
     transcript = Transcript()

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import ENUMERATION_CAP, Element, Group, mutable_twin
@@ -203,29 +203,23 @@ class TreeSylowGroup(Group):
     # -------------------------------------------------------- enumeration
 
     def elements(self, even_only: bool = False) -> Iterator["Portrait"]:
+        """Every portrait, or only the even ones; refused at the call
+        past the enumeration limit."""
         if self.order > ENUMERATION_CAP:
             raise DepthTooLargeError(f"|G| = 2^{self.log_order} is beyond enumeration")
-        bottom = self._bottom
-        for packed in range(1 << self.bit_count):
+        packed: Iterable[int] = range(self.order)
+        if even_only:
             # Portrait.is_even's test, before a portrait is built.
-            if even_only and (packed & bottom).bit_count() & 1:
-                continue
-            yield _make(self, packed)
+            bottom = self._bottom
+            packed = (v for v in packed if not (v & bottom).bit_count() & 1)
+        return map(_make, repeat(self), packed)
 
-    def level_subgroup(self, level: int, even_only: bool = False) -> list["Portrait"]:
+    def level_subgroup(self, level: int) -> list["Portrait"]:
         """All portraits supported on one level: an elementary abelian
         commuting family of size 2^(2^level)."""
         if self.level_subgroup_order(level) > ENUMERATION_CAP:
             raise DepthTooLargeError(f"|H| = 2^{1 << level} is beyond enumeration")
-        width = 1 << level
-        # Portrait.is_even's test, on the mask: only bottom labels count.
-        even_only = even_only and level == self.k - 1
-        out = []
-        for mask in range(1 << width):
-            if even_only and mask.bit_count() & 1:
-                continue
-            out.append(self.from_level_masks({level: mask}))
-        return out
+        return [self.from_level_masks({level: mask}) for mask in range(1 << (1 << level))]
 
     def level_subgroup_order(self, level: int) -> int:
         self._check_level(level)
@@ -259,25 +253,19 @@ class TreeSylowGroup(Group):
         pairs = [(g, g.inverse()) for g in self._engine_input(generators)]
         return Subgroup(self, [_commutator(x, y) for x, y in combinations(pairs, 2)], pairs)
 
-    def minimal_generating_size(self, elements: "Subgroup | Collection[Portrait]") -> int:
-        """Size of a minimal generating set of a subgroup H, given as a
-        `Subgroup` or as its elements.  H is a 2-group, so by Burnside's
-        basis theorem that is the rank of H/Phi(H), and the rank is
-        |basis(H)| - |basis(Phi(H))|."""
-        if isinstance(elements, Subgroup):
-            H = elements
-        else:
-            group = set(elements)
-            H = self.closure(group)
-            if H.order != len(group):
-                raise NotAGroupError("element set is not a subgroup")
+    def minimal_generating_size(self, H: "Subgroup") -> int:
+        """Size of a minimal generating set of the subgroup H.  H is a
+        2-group, so by Burnside's basis theorem that is the rank of
+        H/Phi(H), and the rank is |basis(H)| - |basis(Phi(H))|.  `closure`
+        builds H from generators."""
         return len(H.basis) - len(H.frattini().basis)
 
     def minimal_generating_size_brute(self, elements: Collection["Portrait"]) -> int:
         """Independent check: the smallest subset that generates the
-        input, each subset closed by a plain product worklist."""
+        input, each subset closed by a plain product worklist.  An input
+        that no subset generates exactly is not a group: NotAGroupError."""
         group = set(elements)
-        if len(group) == 1:
+        if group == {self.identity()}:
             return 0
         candidates = sorted(group - {self.identity()}, key=lambda g: g.packed)
         for size in range(1, len(candidates) + 1):
@@ -401,17 +389,12 @@ class Portrait(Element):
     def bit(self, level: int, pos: int) -> int:
         return (self.packed >> self.group._shift(level, pos)) & 1
 
-    def _field(self, level: int) -> int:
-        G = self.group
-        G._check_level(level)
-        return (self.packed >> G._offset(level)) & ((1 << (1 << level)) - 1)
-
     def level_mask(self, level: int) -> int:
         """Bit p is the label of vertex p on the level."""
-        return _reverse(self._field(level), 1 << level)
-
-    def active_bits(self, level: int) -> int:
-        return self._field(level).bit_count()
+        G = self.group
+        G._check_level(level)
+        width = 1 << level
+        return _reverse((self.packed >> G._offset(level)) & ((1 << width) - 1), width)
 
     def __mul__(self, other: "Portrait") -> "Portrait":
         """Composite "self then other": leaf x maps to other(self(x)).

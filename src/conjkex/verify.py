@@ -222,10 +222,11 @@ def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
     return results
 
 
-def heisenberg_orbit_claims(primes: Iterable[int] = DEFAULT_PRIMES) -> list[ClaimResult]:
-    """Orbit of a under conjugation is {a, ac, ..., ac^(p-1)}: length p."""
+def heisenberg_orbit_claims() -> list[ClaimResult]:
+    """Orbit of a under conjugation is {a, ac, ..., ac^(p-1)}: length p,
+    for each of `DEFAULT_PRIMES`."""
     results = []
-    for p in primes:
+    for p in DEFAULT_PRIMES:
         started = time.perf_counter()
         group = heisenberg_group(p, 1, 1)
         cls = measured_class(group.a(), conjugation_pairs(group.generator_elements()))

@@ -330,6 +330,19 @@ def test_attack_refuses_a_public_from_another_group(capsys, tmp_path, other):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_attack_refuses_a_second_public_line_from_alice(capsys, tmp_path):
+    # Bob's value, relabelled as Alice's and placed first: a reader that
+    # took the first match would break the wrong pair and report a key
+    # mismatch (exit 1).
+    path, _ = _write_demo_transcript(capsys, tmp_path)
+    lines = path.read_text().splitlines()
+    [bob] = [line for line in lines if '"from":"bob"' in line]
+    path.write_text("\n".join([bob.replace('"bob"', '"alice"'), *lines]) + "\n")
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected exactly one 'public' message") and "Traceback" not in err
+
+
 def test_attack_rejects_truncated_transcript(capsys, tmp_path):
     path, _ = _write_demo_transcript(capsys, tmp_path)
     text = path.read_text().splitlines()[:2]

@@ -363,6 +363,20 @@ def test_pgroup_canonical_round_trips_through_parse_element(group_class, factory
         assert back == g and back.group is G and back.canonical() == text
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda: metacyclic_group(3, 13, 2).elements(),
+    lambda: heisenberg_group(3, 13, 2).center_elements(),
+    lambda: tree_group(5).elements(),
+    lambda: tree_group(6).level_subgroup(5),
+    lambda: tree_group(5).closure(tree_group(5).generator_elements()).elements(),
+], ids=["pgroup", "pgroup-centre", "tree", "tree-level", "tree-subgroup"])
+def test_every_enumeration_refusal_is_a_too_large_error(refuse):
+    # One limit, one exception type: `except TooLargeError` catches every
+    # platform's refusal, raised at the call.
+    with pytest.raises(TooLargeError, match=r" is beyond enumeration$"):
+        refuse()
+
+
 @PGROUP_PLATFORMS
 @pytest.mark.parametrize("at_limit, past_limit", [
     ((9012, 1), (9013, 1)),

@@ -9,7 +9,7 @@ from conjkex.errors import (
     LevelOutOfRangeError,
     ParseError,
     PlatformMismatchError,
-    SessionStateError,
+    TranscriptError,
 )
 from conjkex.heisenberg import heisenberg_group
 from conjkex.kex import (
@@ -125,11 +125,7 @@ def test_platform_table_factories(group):
 
 def test_session_state_and_mismatch_errors():
     session = Session("alice", MC.a(1), seed=1)
-    with pytest.raises(SessionStateError):
-        session.public_value()
-    session.gen_private()
     other = Session("bob", metacyclic_group(3, 2, 1).a(1), seed=2)
-    other.gen_private()
     with pytest.raises(PlatformMismatchError):
         session.derive(other.public_value())
     with pytest.raises(ValueError):
@@ -144,7 +140,9 @@ def test_equal_seeds_equal_privates():
     for group in (MC, heisenberg_group(3, 1, 1), tree_group(3)):
         s1 = Session("alice", group.default_base(), seed=99)
         s2 = Session("bob", group.default_base(), seed=99)
-        assert s1.gen_private() == s2.gen_private()
+        assert s1.private == s2.private
+        # A session is complete once built: its private is the seed's draw.
+        assert s1.private == sample_private(group, SplitMix64(99))
 
 
 def test_private_ranges():
@@ -217,6 +215,19 @@ def test_debug_key_flag_controls_embedding():
         plain.transcript.debug_key()
     debug = run_demo(MC.a(1), 1, 2, debug_key=True)
     assert debug.transcript.debug_key() == debug.key_alice
+
+
+@pytest.mark.parametrize("marker, lookup", [
+    ('"from":"alice"', lambda t: t.public_from("alice")),
+    ('"from":"bob"', lambda t: t.public_from("bob")),
+    ('"type":"debug"', Transcript.debug_key),
+    ('"type":"params"', Transcript.base_element),
+], ids=["alice", "bob", "debug", "params"])
+def test_transcript_refuses_a_repeated_message(marker, lookup):
+    text = run_demo(MC.a(1), 1, 2, debug_key=True).transcript.to_text()
+    [line] = [line for line in text.splitlines() if marker in line]
+    with pytest.raises(TranscriptError, match="^expected exactly one "):
+        lookup(Transcript.from_text(text + line + "\n"))
 
 
 def test_transcript_roundtrip():

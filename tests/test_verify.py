@@ -160,7 +160,7 @@ def test_center_claims_pass():
 
 
 def test_heisenberg_orbit_claims_pass():
-    for result in heisenberg_orbit_claims(primes=(3, 5, 7)):
+    for result in heisenberg_orbit_claims():
         assert result.passed, result.to_json()
 
 
@@ -244,8 +244,8 @@ def test_growth_claim_fails_when_a_member_is_outside_the_generators_span(monkeyp
     # catch the extra member.
     real = TreeSylowGroup.level_subgroup
 
-    def widened(self, level, even_only=False):
-        members = real(self, level, even_only)
+    def widened(self, level):
+        members = real(self, level)
         return members + [self.single(1, 0)] if level == 2 else members
 
     monkeypatch.setattr(TreeSylowGroup, "level_subgroup", widened)
