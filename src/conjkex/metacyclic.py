@@ -9,9 +9,10 @@ below 10^4300.  Every element has the unique normal form a^i b^j with
 0 <= i < p^m, 0 <= j < p^n, so equality is componentwise.  The shared
 `core.PElement` gives the constructor, text form, equality and hash;
 this module writes the multiplication law.  `MetaElement.conjugate_by(x)`
-computes x w x^-1, so conjugating a^i by b multiplies the exponent i by
-the twist, which is what makes the platform efficient: a single modular
-exponentiation.
+computes x w x^-1 in closed form: for x = a^u b^v and w = a^i b^j it is
+a^(u + i*twist^v - u*twist^j) b^j, one element built from at most two
+twist powers and no product or inverse.  Conjugating a^i by b^v thus
+multiplies i by twist^v, which is what makes the platform efficient.
 """
 
 from __future__ import annotations
@@ -40,15 +41,22 @@ class MetaElement(PElement):
         return _make(G, -self.i * G.twist_pow(-self.j) % G.pm, -self.j % G.pn)
 
     def conjugate_by(self, x: "MetaElement") -> "MetaElement":
-        """Conjugate of this element under x, computed as x * self * x^-1.
+        """x * self * x^-1 in closed form, with no product or inverse.
 
-        This is the convention b a b^-1 = a^twist of the presentation:
-        conjugating a^i by b^v gives a^(i * twist^v), one modular
-        exponentiation.  The tree and heisenberg platforms compute
-        x^-1 * self * x instead.
+        For x = a^u b^v and self = a^i b^j that is
+        a^(u + i*twist^v - u*twist^j) b^j: one `_make` and at most two
+        twist powers, and the second is skipped when u or j is 0, as for
+        a private b^v and a base in <a>.  This is the convention
+        b a b^-1 = a^twist of the presentation; the tree and heisenberg
+        platforms compute x^-1 * self * x instead.
         """
-        self._check(x)
-        return x * self * x.inverse()
+        G = self.group
+        if x.__class__ is not MetaElement or x.group is not G:
+            self._check(x)
+        i = self.i * G.twist_pow(x.j)
+        if x.i and self.j:
+            i += x.i * (1 - G.twist_pow(self.j))
+        return _make(G, i % G.pm, self.j)
 
 
 _MutableMetaElement = mutable_twin(MetaElement)

@@ -144,7 +144,7 @@ def test_non_element_operand_raises_type_error(g, other):
 # ------------------------------------ results equal the public constructor's
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(3, 2, 1), (5, 3, 2), (7, 2, 3), (65537, 2, 1)]),
+@given(st.sampled_from([(3, 2, 1), (5, 3, 2), (7, 2, 3), (65537, 2, 1), (2**61 - 1, 3, 2)]),
        EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
 def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
     G = metacyclic_group(*params)
@@ -157,6 +157,7 @@ def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
         (g * h, MetaElement(G, g.i + h.i * t(g.j), g.j + h.j)),
         (g.inverse(), MetaElement(G, -g.i * t(-g.j), -g.j)),
         (h.conjugate_by(g), MetaElement(G, h.i * t(g.j) + g.i * (1 - t(h.j)), h.j)),
+        (h.conjugate_by(g), g * h * g.inverse()),
         (parse_metacyclic(g.canonical()), g),
     ]
     for got, want in cases:

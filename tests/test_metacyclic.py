@@ -5,7 +5,7 @@ import pytest
 
 from conjkex.arith import bsgs_dlog
 from conjkex.errors import NoSolutionError, ParamMismatchError, ParseError
-from conjkex.metacyclic import MetacyclicGroup, metacyclic_group, parse_canonical
+from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group, parse_canonical
 
 
 def rewrite_multiply(g, h):
@@ -71,6 +71,27 @@ def test_conjugation_examples():
     assert G.a(1).conjugate_by(G.b(1)) == G.a(4)  # the defining relation
     assert G.element(2, 1).conjugate_by(G.identity()) == G.element(2, 1)
     assert G.a(2).conjugate_by(G.b(2)) == G.a(5)  # 2*4^2 = 32 = 5 mod 9
+
+
+@pytest.mark.parametrize("p", [1009, 2**127 - 1])
+def test_conjugation_makes_no_product_or_inverse(p, monkeypatch):
+    # x = a^u b^v and w = a^i b^j with u, j != 0, so both twist powers of
+    # the closed form are taken; the products x * w * x^-1 are the oracle.
+    G = metacyclic_group(p, 2, 2)
+    rng = random.Random(p)
+    pairs = []
+    for _ in range(20):
+        x = G.element(rng.randrange(1, G.pm), rng.randrange(1, G.pn))
+        w = G.element(rng.randrange(G.pm), rng.randrange(1, G.pn))
+        pairs.append((w, x, x * w * x.inverse()))
+
+    def refuse(*_):
+        raise AssertionError("conjugation built a product or an inverse")
+
+    monkeypatch.setattr(MetaElement, "__mul__", refuse)
+    monkeypatch.setattr(MetaElement, "inverse", refuse)
+    for w, x, want in pairs:
+        assert w.conjugate_by(x) == want
 
 
 def test_power_examples():
