@@ -22,15 +22,16 @@ Every element answers `*`, `inverse()`, `conjugate_by(x)`,
 The group classes derive from `Group`, which gives them ownership
 checks, equality and hashing over their parameter tuple, and the
 conjugacy class as a closure under generator conjugation.  The element
-classes derive from `Element`, which gives them immutability, the
-operand check, powers and commutation.  Each platform writes its own
+classes derive from `Element`, which gives all three of them
+immutability, the operand check, powers, commutation, and equality and
+hash over their value fields (`_value`).  Each platform writes its own
 `__mul__`, `inverse` and `conjugate_by`: they are the hot paths.
 
 The two p-group platforms share more.  `PGroup` holds their parameters
 (refusing a p^m or p^n too long to print), normal form, enumeration,
 centre and key-exchange roles.  `PElement` derives from each element
 class's `__slots__` its public constructor, its text form
-`canonical()`, equality and hash, so a p-group element class writes
+`canonical()` and its value fields, so a p-group element class writes
 only its slots, its algebra and its private `_make`.
 `canonical_parser` builds their strict parsers.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import re
 from itertools import product, starmap
 from operator import attrgetter
+from typing import Callable
 
 from .arith import is_probable_prime
 from .errors import ConjKexError, NoSolutionError, ParamMismatchError, ParseError, TooLargeError
@@ -148,13 +150,27 @@ class Element:
 
     A subclass declares its `__slots__`, with `group` among them, and
     sets them through the slot descriptors or on its `mutable_twin`,
-    since `__setattr__` refuses.
+    since `__setattr__` refuses.  It sets `_value`, a getter of the
+    fields that hold its value (not `group`, nor any cache).  Two
+    elements are equal when they share a class and a value and their
+    groups are one object or equal; the hash is the value's.
     """
 
     __slots__ = ()
+    _value: Callable
 
     def __setattr__(self, name, val):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self._value(self) == self._value(other)
+            and (self.group is other.group or self.group == other.group)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._value(self))
 
     def _check(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -317,8 +333,8 @@ class PElement(Element):
     """Base of the p-group elements.  A subclass declares `__slots__` as
     "group" and then its exponent names, which become its
     `exponent_names`; this class derives from them the public
-    constructor, `canonical()`, equality and the hash, which is the
-    hash of the exponent tuple.
+    constructor, `canonical()` and the value, the exponent tuple, which
+    `Element` compares and hashes.
 
     Inputs are checked at the public boundary: the constructor takes one
     int per exponent and reduces each mod the group's `moduli`.
@@ -334,7 +350,7 @@ class PElement(Element):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.exponent_names = names = cls.__slots__[1:]
-        cls._exponents = attrgetter(*names)
+        cls._value = attrgetter(*names)
         cls._text = "".join(f";{name}={{}}" for name in names).format
 
     def __init__(self, group, *exponents):
@@ -347,17 +363,7 @@ class PElement(Element):
             object.__setattr__(self, name, exponent % modulus)
 
     def canonical(self) -> str:
-        return self.group.tag + self._text(*self._exponents(self))
-
-    def __eq__(self, other) -> bool:
-        return (
-            other.__class__ is self.__class__
-            and self._exponents(self) == self._exponents(other)
-            and (self.group is other.group or self.group == other.group)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._exponents(self))
+        return self.group.tag + self._text(*self._value(self))
 
     def is_central(self) -> bool:
         p = self.group.p

@@ -3,53 +3,37 @@
 An automorphism of the complete binary tree of depth k is stored as a
 *portrait*: one swap/identity bit per internal vertex, 2^k - 1 bits in
 level order (root first, left to right within a level).  The portraits
-form the iterated wreath product of k copies of C2, which is exactly a
-Sylow 2-subgroup of S_(2^k); its even-parity half is a Sylow 2-subgroup
-of A_(2^k).
+form the iterated wreath product of k copies of C2, a Sylow 2-subgroup
+of S_(2^k); its even half is a Sylow 2-subgroup of A_(2^k).  A label on
+level l makes 2^(k-l-1) leaf transpositions, so a portrait is even iff
+it has an even number of bottom-level labels.
 
-Composition convention is "g then h": the composite sends leaf x to
-h(g(x)).  A vertex bit swaps the two subtrees below it, so a bit on
-level l contributes 2^(k-l-1) transpositions to the leaf permutation;
-the permutation is even iff the number of active bottom-level bits is
-even.
+Composition is "g then h": leaf x goes to h(g(x)).  In the packed int
+level l is a 2^l-bit field, root side most significant, and level l of
+g*h is g_l XOR P_g(h)_l, h's labels permuted by g's action: for each
+depth d < l, shallowest first, swap the two halves of every run of
+2^(l-d) level-l vertices whose depth-d ancestor g labels.  Halves of
+2^j bits swap on every level at once in one masked delta swap (Warren,
+Hacker's Delight, ch. 7), with g's masks from `_swap_masks`.  Q_g, the
+inverse action, is the same swaps deepest first, and g^-1 = Q_g(g).  A
+product or an inverse costs O(k^2) big-int operations on 2^k-bit ints
+for a dense g, and O(k) or fewer for a g labelled on one or two levels
+(a key, the bottom-swap base, a single-vertex generator), since only
+labelled levels are spread and a swap with an empty mask is skipped.
 
-Products and inverses work a whole level at a time on the packed int,
-where level l is a 2^l-bit field, root side most significant.  Level l
-of g*h is g_l XOR (h_l permuted by g's action on level l), and that
-action is a sequence of swaps: for each depth d < l, shallowest first,
-swap the two halves of every run of 2^(l-d) level-l vertices whose
-depth-d ancestor carries a g-label.  Halves of 2^j bits are swapped on
-every level at once by one masked delta swap (Warren, Hacker's Delight,
-ch. 7); its mask is g's levels 0..k-j-2 with each label widened to a
-2^(j+1)-bit block, lower half set.  The k-1 masks come from one another
-by bit doubling (Morton spreads), so a product or an inverse costs
-O(k^2) big-int operations on 2^k-bit ints instead of 2^k - 1 Python
-steps.  That is the cost for a dense left factor g.  Only g's labelled
-levels are spread and a swap whose mask is empty is skipped, so a g
-labelled on one or two levels (a level-(k-2) key, the bottom-swap base,
-a single-vertex generator) costs O(k) operations or fewer.
-g^-1 has level l = g_l permuted by the inverse of g's action:
-the same swaps, deepest first.  `Portrait.apply` walks one leaf path bit
-by bit and stays the independent oracle for both.
-
-Conjugation takes two swap passes where x^-1 * w * x takes three.  Write
-P_g(h) for h permuted by g's action (the shallowest-first swaps with g's
-masks) and Q_g(h) for h permuted by its inverse (the same masks, deepest
-first).  Then g*h = g XOR P_g(h) and g^-1 = Q_g(g); Q_x is a bit
-permutation, so it distributes over XOR, and
+Conjugation takes two swap passes where x^-1 * w * x takes three: Q_x
+is a bit permutation, so it distributes over XOR, and
 
     x^-1 * w * x = Q_x(x XOR w XOR P_w(x)).
 
-That is w's and x's masks and one pass with each, against the masks of
-x, x^-1 and x^-1*w by the product route.  `commutator` and the subgroup
-engine (`Subgroup`) keep to products, independent of this identity.
+`commutator` and the subgroup engine (`Subgroup`) keep to products, and
+`Portrait.apply`, which walks one leaf path bit by bit, is the
+independent oracle for all three.
 
-A portrait builds its masks on the first product, inverse or
-conjugation that needs them and keeps them, so a key used in several
-steps of a session spreads them once.  That is at most k-1 ints of
-under 2^k bits per portrait (masks[j] ends below bit 2^k - 3*2^j), so a
-dense portrait keeps about k-1 times its own size; one labelled only on
-the bottom level keeps nothing, as it shares its group's all-zero tuple.
+A portrait builds its masks on first use and keeps them: at most k-1
+ints below 2^k, so a dense portrait keeps about k-1 times its own size,
+and one labelled only on the bottom level shares its group's all-zero
+tuple.
 """
 
 from __future__ import annotations
@@ -57,6 +41,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations, repeat
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import ENUMERATION_CAP, Element, Group, mutable_twin
@@ -151,26 +136,20 @@ class TreeSylowGroup(Group):
         """Delta-swap masks of the portrait `packed`, indexed by j.
 
         masks[j] selects the lower half of every 2^(j+1)-bit block on
-        levels j+1..k-1 whose controlling label (the block's ancestor
-        j+1 levels up) is set.  It comes from the labels widened to
-        2^j-bit blocks: drop the bottom level, then a Morton spread M
-        moves each 2^j-bit run i to run 2i.  Filling the other halves
-        gives the 2^(j+1)-bit blocks for the next j.
+        levels j+1..k-1 whose ancestor j+1 levels up is labelled.  It is
+        the labels widened to 2^j-bit blocks, bottom level dropped, after
+        a Morton spread M that moves run i to run 2i; filling the other
+        halves gives the next j's blocks.  Only the labelled span is
+        spread: trailing zeros, whole aligned runs, are stripped first and
+        restored doubled (M(x << z) = M(x) << 2z when 2^j divides z), and
+        the step that shifts by 2^e, a no-op below 2^(2^e), is skipped
+        where the int is too short for it.
 
-        Only the labelled span is spread, by two identities.  First,
-        M(x << z) = M(x) << 2z when 2^j divides z; the labels fill whole
-        aligned runs, so the trailing zeros of the int are whole runs,
-        and they are stripped before the spread and restored doubled.
-        Second, the step that shifts by 2^e is a no-op on ints below
-        2^(2^e), so the loop starts at the highest step the int can
-        reach.  Once the labels have shifted out, every later mask is 0.
-
-        Cost: a dense portrait takes O(k^2) full-width operations.  One
-        labelled only on the bottom level takes none and gets the
-        group's shared all-zero tuple; one labelled only
-        on level l takes k-1-l stages, each spreading only the labelled
-        span, so O(k) in all; level k-2 (a key) takes the j = 0 spread
-        alone.
+        Cost: O(k^2) full-width operations for a dense portrait; none for
+        one labelled only on the bottom level, which gets the group's
+        shared all-zero tuple; O(k) for one labelled only on level l
+        (k-1-l stages over the labelled span); the j = 0 spread alone for
+        level k-2 (a key).
         """
         half = self.leaves >> 1
         if not packed >> half:
@@ -202,17 +181,11 @@ class TreeSylowGroup(Group):
 
     # -------------------------------------------------------- enumeration
 
-    def elements(self, even_only: bool = False) -> Iterator["Portrait"]:
-        """Every portrait, or only the even ones; refused at the call
-        past the enumeration limit."""
+    def elements(self) -> Iterator["Portrait"]:
+        """Every portrait; refused at the call past the enumeration limit."""
         if self.order > ENUMERATION_CAP:
             raise DepthTooLargeError(f"|G| = 2^{self.log_order} is beyond enumeration")
-        packed: Iterable[int] = range(self.order)
-        if even_only:
-            # Portrait.is_even's test, before a portrait is built.
-            bottom = self._bottom
-            packed = (v for v in packed if not (v & bottom).bit_count() & 1)
-        return map(_make, repeat(self), packed)
+        return map(_make, repeat(self), range(self.order))
 
     def level_subgroup(self, level: int) -> list["Portrait"]:
         """All portraits supported on one level: an elementary abelian
@@ -323,20 +296,16 @@ class TreeSylowGroup(Group):
         x_s = commuting_conjugator(s); NoSolutionError when there is none.
 
         packed(w^(x_s)) XOR packed(w) is GF(2)-linear in s.  Conjugation
-        by any portrait maps the label of a level-(k-2) vertex to the
-        label of one such vertex, alone or with both bottom labels below
-        it.  So d(x) = x^-1 * (w * x * w^-1) lies in the elementary
-        abelian group that the privates and those bottom pairs generate,
-        where products are XORs, and d is linear; w^x = d(x) * w is d(x)
-        XOR w with w's bottom pairs under d(x)'s level-(k-2) labels
-        swapped, linear in d(x) too.  (d being a homomorphism is also
-        why the key is w_x * w^-1 * w_y.)  So s is solved over the
-        images of the 2^(k-2) single-vertex privates, reduced by leading
-        bit as `Subgroup` keys its basis.  That is 2^(k-2) conjugations,
-        refused before the first past MAX_SUBGROUP_DEPTH: the solve
-        takes 0.08-0.2 s at k = 14 and 0.5-2.3 s at k = 16 (default to
-        dense bases, CPython 3.11), and from k = 16 s can pass Python's
-        4300-digit int-to-str limit.
+        maps each level-(k-2) label to one such label, alone or with both
+        bottom labels below it, so d(x) = x^-1 * (w * x * w^-1) is a
+        homomorphism into the elementary abelian group of the privates
+        and those bottom pairs (which is also why the key is
+        w_x * w^-1 * w_y), and w^x = d(x) * w is linear in d(x).  So s is
+        solved over the images of the 2^(k-2) single-vertex privates,
+        reduced by leading bit as `Subgroup` keys its basis.  That is 2^(k-2) conjugations, refused
+        before the first past MAX_SUBGROUP_DEPTH: the solve takes
+        0.08-0.2 s at k = 14 and 0.5-2.3 s at k = 16 (CPython 3.11), and
+        from k = 16 s can pass Python's 4300-digit int-to-str limit.
         """
         if self.k > MAX_SUBGROUP_DEPTH:
             raise DepthTooLargeError(f"private_log limited to k <= {MAX_SUBGROUP_DEPTH}")
@@ -378,6 +347,7 @@ class Portrait(Element):
     """
 
     __slots__ = ("group", "packed", "_masks")
+    _value = attrgetter("packed")  # never the _masks cache
 
     def __init__(self, group: TreeSylowGroup, packed: int):
         if packed >> group.bit_count:
@@ -387,7 +357,12 @@ class Portrait(Element):
         _set_masks(self, None)
 
     def bit(self, level: int, pos: int) -> int:
-        return (self.packed >> self.group._shift(level, pos)) & 1
+        """The label of vertex pos on the level."""
+        G = self.group
+        G._check_level(level)
+        if not 0 <= pos < 1 << level:
+            raise ValueError(f"position {pos} outside [0, {1 << level})")
+        return (self.packed >> G._shift(level, pos)) & 1
 
     def level_mask(self, level: int) -> int:
         """Bit p is the label of vertex p on the level."""
@@ -430,7 +405,7 @@ class Portrait(Element):
         out = 0
         for level in range(k):
             d = (leaf >> (k - 1 - level)) & 1
-            out = (out << 1) | (d ^ self.bit(level, pos))
+            out = (out << 1) | (d ^ ((self.packed >> G._shift(level, pos)) & 1))
             pos = 2 * pos + d
         return out
 
@@ -462,16 +437,6 @@ class Portrait(Element):
 
     def canonical(self) -> str:
         return f"tg:k={self.group.k};bits={self.packed:x}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Portrait)
-            and self.packed == other.packed
-            and (self.group is other.group or self.group.k == other.group.k)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.k, self.packed))
 
     def __repr__(self) -> str:
         return f"Portrait(k={self.group.k}, bits={self.packed:#x})"
@@ -530,16 +495,15 @@ class Subgroup:
     """A subgroup H as an echelon basis: one element per leading bit (the
     highest set bit of `packed`), each stored with its inverse.
 
-    The portraits below 2^b form a subgroup of index 2 in those below
+    Portraits below 2^b are a subgroup of index 2 in those below
     2^(b+1), since a level's field adds by XOR on portraits trivial above
-    that level.  So each step of `sift`, a left product with the stored
-    inverse that has g's leading bit, lowers the leading bit.  For each
-    new basis element r the constructor queues r*r, [r, e] for every
-    basis element e and [r, s] for every normaliser s.  Once all of them
-    sift to the identity, the basis is an induced polycyclic sequence
-    (Kaloujnine 1948; Holt-Eick-O'Brien, Handbook of Computational Group
-    Theory, 2005, ch. 8): |H| = 2^|basis|, and g lies in H iff it sifts
-    to the identity.  Cost: |basis| * (|basis| + |normalisers|) queued
+    that level, so each step of `sift`, a left product with the stored
+    inverse that has g's leading bit, lowers it.  Each new basis element
+    r queues r*r and [r, e] for every basis element and normaliser e;
+    once all of them sift to the identity, the basis is an induced
+    polycyclic sequence (Kaloujnine 1948; Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 8): |H| = 2^|basis|, and g
+    lies in H iff it sifts to the identity.  Cost: |basis| * (|basis| + |normalisers|)
     commutators of three products each, plus their sifts, where an
     enumerated closure takes |H| * |gens| products.
     """

@@ -92,7 +92,7 @@ def test_criterion_5_sylow_and_commutator():
     for k in (2, 3, 4):
         group = tree_group(k)
         s_count = sum(1 for _ in group.elements())
-        a_count = sum(1 for _ in group.elements(even_only=True))
+        a_count = sum(g.is_even() for g in group.elements())
         ok = ok and s_count == 1 << ((1 << k) - 1)
         ok = ok and a_count == 1 << ((1 << k) - 2)
         derived = group.derived_subgroup(group.even_generators())

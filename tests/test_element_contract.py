@@ -310,22 +310,47 @@ PGROUP_PLATFORMS = pytest.mark.parametrize(
     ids=["metacyclic", "heisenberg"],
 )
 
+# Equality and hash come from `core.Element` on all three platforms.
+ELEMENT_PLATFORMS = pytest.mark.parametrize(
+    "group_class, factory, params",
+    [
+        (MetacyclicGroup, metacyclic_group, (5, 2, 2)),
+        (HeisenbergGroup, heisenberg_group, (5, 2, 2)),
+        (TreeSylowGroup, tree_group, (4,)),
+    ],
+    ids=["metacyclic", "heisenberg", "tree"],
+)
 
-@PGROUP_PLATFORMS
-def test_pgroup_elements_hash_as_their_exponent_tuple(group_class, factory):
-    G = factory(5, 2, 2)
-    for g in [*G.generator_elements(), G.element(*(7, 13, 4)[: len(G.moduli)])]:
-        names = type(g).exponent_names
-        assert names == type(g).__slots__[1:] == ("i", "j", "k")[: len(G.moduli)]
-        assert hash(g) == hash(tuple(getattr(g, name) for name in names))
+
+def sample_element(G):
+    if isinstance(G, TreeSylowGroup):
+        return G.from_packed(0x5A5A)
+    return G.element(*(7, 13, 4)[: len(G.moduli)])
 
 
-@PGROUP_PLATFORMS
-def test_pgroup_elements_of_equal_distinct_groups_are_equal(group_class, factory):
-    interned, fresh = factory(5, 2, 2), group_class(5, 2, 2)
+def element_value(g):
+    """What `Element` compares and hashes: a portrait's packed labels, a
+    p-group element's exponent tuple."""
+    if isinstance(g, Portrait):
+        return g.packed
+    names = type(g).exponent_names
+    assert names == type(g).__slots__[1:] == ("i", "j", "k")[: len(g.group.moduli)]
+    return tuple(getattr(g, name) for name in names)
+
+
+@ELEMENT_PLATFORMS
+def test_pgroup_elements_hash_as_their_exponent_tuple(group_class, factory, params):
+    G = factory(*params)
+    for g in [*G.generator_elements(), sample_element(G)]:
+        assert hash(g) == hash(element_value(g))
+
+
+@ELEMENT_PLATFORMS
+def test_pgroup_elements_of_equal_distinct_groups_are_equal(group_class, factory, params):
+    interned, fresh = factory(*params), group_class(*params)
     assert fresh is not interned
-    exponents = (7, 13, 4)[: len(fresh.moduli)]
-    g, h = interned.element(*exponents), fresh.element(*exponents)
+    g, h = sample_element(interned), sample_element(fresh)
+    g.inverse()  # builds a portrait's mask cache on g alone: not part of its value
     assert g == h and h == g and hash(g) == hash(h) and len({g, h}) == 1
 
 
@@ -336,6 +361,8 @@ def test_pgroup_elements_of_other_groups_are_never_equal():
         metacyclic_group(5, 2, 2).element(1, 1),
         heisenberg_group(3, 2, 2).element(1, 1, 0),
         heisenberg_group(3, 1, 2).element(1, 1, 0),
+        tree_group(3).from_packed(1),
+        tree_group(4).from_packed(1),
     ]
     for x in same_exponents:
         for y in same_exponents:

@@ -132,7 +132,7 @@ def test_order_examples():
 
 def test_derived_subgroup_examples():
     G2 = tree_group(2)
-    even4 = list(G2.elements(even_only=True))
+    even4 = [g for g in G2.elements() if g.is_even()]
     assert G2.derived_subgroup(even4).order == 1  # Klein group is abelian
     G3 = tree_group(3)
     derived = G3.derived_subgroup(G3.even_generators())
@@ -218,7 +218,7 @@ def test_enumerated_orders_match_formulas():
     for k in (2, 3, 4):
         G = tree_group(k)
         all_count = sum(1 for _ in G.elements())
-        even_count = sum(1 for _ in G.elements(even_only=True))
+        even_count = sum(g.is_even() for g in G.elements())
         assert all_count == G.order == 1 << ((1 << k) - 1)
         assert even_count == G.order >> 1 == 1 << ((1 << k) - 2)
 
@@ -228,13 +228,13 @@ def test_generators_generate(k):
     G = tree_group(k)
     assert G.closure(G.generator_elements()).order == G.order
     closure_a = G.closure(G.even_generators())
-    assert closure_a.elements() == frozenset(G.elements(even_only=True))
+    assert closure_a.elements() == frozenset(g for g in G.elements() if g.is_even())
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_derived_subgroup_matches_all_pairs_brute_force(k):
     G = tree_group(k)
-    even = list(G.elements(even_only=True))
+    even = [g for g in G.elements() if g.is_even()]
     via_generators = G.derived_subgroup(G.even_generators())
     via_all_pairs = brute_all_pairs_derived(G, even)
     assert via_generators.elements() == via_all_pairs
@@ -695,6 +695,23 @@ def test_level_field_errors():
         G.from_level_masks({-1: 0})
     with pytest.raises(ValueError):
         G.from_level_masks({1: 0b100})
+
+
+@pytest.mark.parametrize(
+    "level, pos, error",
+    [
+        (3, 0, LevelOutOfRangeError),   # below the bottom level
+        (-1, 0, LevelOutOfRangeError),  # above the root
+        (0, 1, ValueError),             # level 1's vertex 0, not a root vertex
+        (1, 2, ValueError),
+        (2, -1, ValueError),            # outside the level's field
+    ],
+)
+def test_bit_rejects(level, pos, error):
+    g = parse_canonical("tg:k=3;bits=20")  # the level-1 generator
+    assert g.bit(1, 0) == 1 and g.bit(0, 0) == 0
+    with pytest.raises(error):
+        g.bit(level, pos)
 
 
 # sha256 of the canonical forms of g*h, g^-1 and h^g for portraits drawn

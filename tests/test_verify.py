@@ -148,6 +148,25 @@ def test_min_gen_rank_claim_is_checked_against_the_paper(monkeypatch):
     assert (rank.paper_value, rank.measured_value, rank.passed) == ("rank:5", "rank:4", False)
 
 
+def test_engine_measured_sylow_orders_are_checked_against_the_paper(monkeypatch):
+    def orders():
+        return {r.claim_id: (r.measured_value, r.passed)
+                for r in sylow_claims(ks=(3,)) if r.claim_id.endswith("-order")}
+
+    assert orders()["sylow.s-order"] == ("128", True)
+    assert orders()["sylow.a-order"] == ("64", True)
+    generators, even_generators = TreeSylowGroup.generator_elements, TreeSylowGroup.even_generators
+    with monkeypatch.context() as patch:
+        # Without the bottom generator the closure is the 8-element D4.
+        patch.setattr(TreeSylowGroup, "generator_elements", lambda self: generators(self)[:-1])
+        assert orders()["sylow.s-order"] == ("8", False)
+    with monkeypatch.context() as patch:
+        # The default base, one bottom swap, is odd: |A| reads 0.
+        patch.setattr(TreeSylowGroup, "even_generators",
+                      lambda self: [*even_generators(self), self.default_base()])
+        assert orders()["sylow.a-order"] == ("0", False)
+
+
 def test_center_claims_pass():
     results = center_claims(grid=SMALL_GRID)
     assert len(results) == 2 * len(SMALL_GRID)
