@@ -22,8 +22,8 @@ import sys
 
 from . import cryptanalysis, kex, verify
 from .core import PGroup
-from .errors import ConjKexError, DepthTooLargeError, PlatformMismatchError, TranscriptError
-from .treegroup import MAX_SUBGROUP_DEPTH, tree_group
+from .errors import ConjKexError, PlatformMismatchError, TranscriptError
+from .treegroup import tree_group
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -194,9 +194,6 @@ def _cmd_tree(args) -> int:
         ],
     }
     if args.k <= 3 or args.long:
-        # Refused before even_generators() builds 2^(k-1) portraits.
-        if args.k > MAX_SUBGROUP_DEPTH:
-            raise DepthTooLargeError(f"subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}")
         derived = group.derived_subgroup(group.even_generators())
         facts["derived_order"] = _decimal(derived.order)
         facts["derived_min_generators"] = str(group.minimal_generating_size(derived))

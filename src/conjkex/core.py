@@ -7,8 +7,9 @@ normal form, so element equality compares fields.  Every group answers:
   transcripts carry (`wire_params()`);
 - `p`, `log_order` and `order`: every platform is a p-group, and
   |G| = p^log_order;
-- `identity()`, `generator_elements()` (a generating set), `elements()`
-  (an enumeration, refused past a size limit) and `conjugacy_class(w)`;
+- `identity()`, `generator_elements()` (a minimal generating set),
+  `elements()` (an enumeration, refused past a size limit) and
+  `conjugacy_class(w)`;
 - the key exchange's policies: the commuting subgroup the privates come
   from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
   s from `first_private` on), `default_base()` and `usable_base(w)`;
@@ -219,11 +220,14 @@ class PGroup(Group):
     Both are Miller-Moreno groups with parameters p, m, n: p an odd
     prime, a of order p^m and b of order p^n.  An element is its tuple
     of reduced exponents in a normal form that starts a^i b^j; only the
-    multiplication law differs.  <b> is the key exchange's commuting
-    subgroup, drawn from b^1 on (b^0 would fix every base), and a is
-    the default base.  An element is central exactly when p divides
-    both i and j.  A group whose p^m or p^n reaches 10^4300 is refused
-    with TooLargeError, so every exponent prints.
+    multiplication law differs.  A Miller-Moreno group is 2-generated
+    (Miller and Moreno, Trans. AMS 4, 1903), and a and b do not commute,
+    so `generator_elements()`, a and b, is a minimal generating set.
+    <b> is the key exchange's commuting subgroup, drawn from b^1 on (b^0
+    would fix every base), and a is the default base.  An element is
+    central exactly when p divides both i and j.  A group whose p^m or
+    p^n reaches 10^4300 is refused with TooLargeError, so every exponent
+    prints.
 
     A subclass sets `kind`, `prefix` (of its canonical strings),
     `min_m`, its `element_class` and that class's `_make` (see
@@ -273,6 +277,9 @@ class PGroup(Group):
 
     def b(self, j: int = 1):
         return self._make(self, 0, j % self.pn)
+
+    def generator_elements(self) -> list:
+        return [self.a(), self.b()]
 
     def elements(self):
         if self.order > ENUMERATION_CAP:

@@ -76,9 +76,6 @@ class HeisenbergGroup(PGroup):
     def c(self, k: int = 1) -> HeisenbergElement:
         return _make(self, 0, 0, k % self.p)
 
-    def generator_elements(self) -> list[HeisenbergElement]:
-        return [self.a(), self.b(), self.c()]
-
     def _conjugates(self, w: HeisenbergElement):
         # Conjugation sweeps the c-exponent over Z_p.
         return (_make(self, w.i, w.j, k) for k in range(self.p))

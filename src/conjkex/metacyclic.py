@@ -111,9 +111,6 @@ class MetacyclicGroup(PGroup):
         shift, rest = divmod(w_x.i - w.i, self.twist - 1)
         return None if rest or w_x.j != w.j else shift
 
-    def generator_elements(self) -> list[MetaElement]:
-        return [self.a(), self.b()]
-
     def _conjugates(self, w: MetaElement):
         # Conjugation by b and by a shifts i by i*p^(m-1) and by
         # -j*p^(m-1); i or j is a unit mod p when w is not central, so

@@ -58,7 +58,7 @@ from .errors import (
 _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
-MAX_SUBGROUP_DEPTH = 8  # Subgroup (G' and Phi(G') take about 2.7 s at k = 8), private_log
+MAX_SUBGROUP_DEPTH = 8  # Subgroup (G' and Phi(G') take about 1.5-1.7 s at k = 8), private_log
 
 
 class TreeSylowGroup(Group):
@@ -117,11 +117,17 @@ class TreeSylowGroup(Group):
         return _make(self, packed)
 
     def single(self, level: int, pos: int) -> "Portrait":
+        self._check_vertex(level, pos)
         return self.from_level_masks({level: 1 << pos})
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.k:
             raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
+
+    def _check_vertex(self, level: int, pos: int) -> None:
+        self._check_level(level)
+        if not 0 <= pos < 1 << level:
+            raise ValueError(f"position {pos} outside [0, {1 << level})")
 
     def _offset(self, level: int) -> int:
         # Lowest bit of the level's field; the root is the most
@@ -199,20 +205,26 @@ class TreeSylowGroup(Group):
         return 1 << (1 << level)
 
     def generator_elements(self) -> list["Portrait"]:
-        """One single-vertex portrait per level."""
+        """One single-vertex portrait per level: a minimal generating set,
+        since the rank of G/Phi(G), the level parities, is k."""
         return [self.single(level, 0) for level in range(self.k)]
 
     def even_generators(self) -> list["Portrait"]:
-        """Generators of the even half, the Sylow 2-subgroup of A_(2^k):
-        the bottom level of `generator_elements` is replaced by even
-        bottom-pair swaps."""
+        """A minimal generating set of the even half, the Sylow 2-subgroup
+        of A_(2^k): the first k-1 of `generator_elements` and a swap of
+        the first and last bottom vertices.
+
+        The first k-1 give every portrait labelled on levels 0..k-2,
+        which act on the bottom vertices, each half on its own and the
+        root swapping the halves.  So the conjugates of the bottom swap
+        are the swaps of every pair with one vertex in each half, and
+        these span every even bottom labelling.  The engine measures the
+        rank of the even half as k.
+        """
         if self.k == 1:
             return [self.identity()]
-        gens = [self.single(level, 0) for level in range(self.k - 1)]
-        bottom = self.k - 1
-        for pos in range(1, 1 << bottom):
-            gens.append(self.from_level_masks({bottom: 1 | (1 << pos)}))
-        return gens
+        ends = 1 | 1 << ((1 << (self.k - 1)) - 1)  # the first and last bottom vertices
+        return [*self.generator_elements()[:-1], self.from_level_masks({self.k - 1: ends})]
 
     # ----------------------------------------------------- subgroup tools
 
@@ -359,9 +371,7 @@ class Portrait(Element):
     def bit(self, level: int, pos: int) -> int:
         """The label of vertex pos on the level."""
         G = self.group
-        G._check_level(level)
-        if not 0 <= pos < 1 << level:
-            raise ValueError(f"position {pos} outside [0, {1 << level})")
+        G._check_vertex(level, pos)
         return (self.packed >> G._shift(level, pos)) & 1
 
     def level_mask(self, level: int) -> int:

@@ -7,19 +7,9 @@ order and rank with the subgroup engine (the k = 3 rank again by brute
 force over G's elements), the other suites by enumeration and orbits.
 The measurement routes deliberately use only element multiplication
 and inversion, which the test suite pins against independent
-rewriting/permutation oracles.
-The two metacyclic suites, theorems and center, cover the 12 fixed
-groups of `default_param_grid`, none above 7^5 elements, and read the
-conjugation action off index lists that products fill.  Theorems builds
-one full table per generator, 2|G| + 2(p^m + p^n) + 4 products per
-group, and closes the classes over the tables with no element sets.
-Center takes Z(G) as the elements that conjugation by a and by b both
-fix, and conjugates by b only the |G|/p elements that a fixes, so a
-group costs |G| + |G|/p + 2(p^m + p^n) + 4 products.  The growth suite
-checks that a level's 2^l single-vertex generators commute pairwise and
-that their subset products are exactly the level subgroup,
-2^l (2^l - 1) + 2^(2^l) - 1 products per level instead of one pair per
-two members.
+rewriting/permutation oracles.  The metacyclic suites, theorems and
+center, cover the 12 groups of `default_param_grid`, none above 7^5
+elements.  Each suite's docstring gives its cost in products.
 """
 
 from __future__ import annotations
@@ -245,9 +235,9 @@ def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> list[ClaimRe
     """Orders of the Sylow subgroups, their commutator subgroup, and the
     minimal generating size of the latter, all by the subgroup engine.
 
-    |Syl2(S)| is the order of the closure of `generator_elements()`.
-    |Syl2(A)| is that of `even_generators()`, and reads 0 unless every
-    one of them is even, so an odd generator fails the claim.
+    |Syl2(S)| is the order of the closure of `generator_elements()`,
+    |Syl2(A)| that of `even_generators()`, each a minimal generating set
+    of k portraits; |Syl2(A)| reads 0 unless every one of them is even.
     """
     results = []
     for k in ks:

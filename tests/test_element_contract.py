@@ -338,6 +338,21 @@ def element_value(g):
     return tuple(getattr(g, name) for name in names)
 
 
+@pytest.mark.parametrize("factory", [metacyclic_group, heisenberg_group], ids=["metacyclic", "heisenberg"])
+@pytest.mark.parametrize("p,m,n", [(3, 2, 1), (3, 2, 2), (5, 2, 1)])
+def test_pgroup_generators_are_a_minimal_generating_set(factory, p, m, n):
+    G = factory(p, m, n)
+    assert G.generator_elements() == [G.a(), G.b()]
+    a, b = G.generator_elements()
+    # G is not abelian, so not cyclic: no single element generates it.
+    assert not a.commutes_with(b)
+    span = frontier = {G.identity()}
+    while frontier:
+        frontier = {x * g for x in frontier for g in (a, b)} - span
+        span = span | frontier
+    assert len(span) == G.order
+
+
 @ELEMENT_PLATFORMS
 def test_pgroup_elements_hash_as_their_exponent_tuple(group_class, factory, params):
     G = factory(*params)

@@ -180,6 +180,13 @@ def test_orbit_of_a_examples():
         assert len(cls) == p
 
 
+@pytest.mark.parametrize("p,m,n", SMALL_GROUPS + [(5, 2, 3)])
+def test_c_is_the_commutator_of_a_and_b(p, m, n):
+    G = heisenberg_group(p, m, n)
+    a, b = G.a(), G.b()
+    assert G.c() == a.inverse() * b.inverse() * a * b
+
+
 def test_power():
     G = heisenberg_group(3, 1, 1)
     g = G.element(1, 2, 1)

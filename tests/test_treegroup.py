@@ -223,12 +223,30 @@ def test_enumerated_orders_match_formulas():
         assert even_count == G.order >> 1 == 1 << ((1 << k) - 2)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_generators_generate(k):
     G = tree_group(k)
     assert G.closure(G.generator_elements()).order == G.order
     closure_a = G.closure(G.even_generators())
     assert closure_a.elements() == frozenset(g for g in G.elements() if g.is_even())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_generating_sets_are_minimal(k):
+    # Each list has k portraits, and the engine measures the rank of the
+    # group they generate as k, so no smaller set generates it.
+    G = tree_group(k)
+    for gens in (G.generator_elements(), G.even_generators()):
+        assert len(gens) == G.minimal_generating_size(G.closure(gens)) == k
+    even = G.even_generators()
+    assert G.closure(even).order == G.order >> 1
+    assert all(g.is_even() for g in even)
+
+
+def test_even_generators_at_depth_one():
+    G = tree_group(1)
+    assert G.even_generators() == [G.identity()]
+    assert G.closure(G.even_generators()).order == 1
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -428,12 +446,18 @@ def test_tree_command_long_reaches_the_engine_limit(capsys):
 
 @pytest.mark.parametrize("k", [MAX_SUBGROUP_DEPTH + 1, 16, 20])
 def test_tree_command_long_refuses_before_building_generators(capsys, monkeypatch, k):
-    # even_generators() holds 2^(k-1) portraits of 2^k bits each: 64 GB
-    # at k = 20.  The refusal must come before it is called.
-    def refuse(self):
-        raise AssertionError(f"even_generators() built at k = {self.k}")
+    # The engine refuses past its limit, after even_generators() has
+    # built its k portraits of 2^k bits each (about 2.6 MB at k = 20); a
+    # generator list that grew with the tree, 2^(k-1) portraits, would
+    # take 64 GB there.
+    even_generators = TreeSylowGroup.even_generators
 
-    monkeypatch.setattr(TreeSylowGroup, "even_generators", refuse)
+    def k_portraits(self):
+        gens = even_generators(self)
+        assert len(gens) == self.k
+        return gens
+
+    monkeypatch.setattr(TreeSylowGroup, "even_generators", k_portraits)
     assert main(["tree", "-k", str(k), "--long"]) == 2
     assert capsys.readouterr().err == (
         f"error: subgroup engine limited to k <= {MAX_SUBGROUP_DEPTH}\n"
@@ -712,6 +736,24 @@ def test_bit_rejects(level, pos, error):
     assert g.bit(1, 0) == 1 and g.bit(0, 0) == 0
     with pytest.raises(error):
         g.bit(level, pos)
+
+
+@pytest.mark.parametrize(
+    "level, pos, error, message",
+    [
+        (3, 0, LevelOutOfRangeError, "level 3 outside [0, 3)"),
+        (-1, 0, LevelOutOfRangeError, "level -1 outside [0, 3)"),
+        (2, -1, ValueError, "position -1 outside [0, 4)"),
+        (2, 4, ValueError, "position 4 outside [0, 4)"),
+        (0, 1, ValueError, "position 1 outside [0, 1)"),
+    ],
+)
+def test_single_rejects(level, pos, error, message):
+    G = tree_group(3)
+    assert G.single(2, 3) == G.from_level_masks({2: 8})
+    with pytest.raises(error) as excinfo:
+        G.single(level, pos)
+    assert str(excinfo.value) == message
 
 
 # sha256 of the canonical forms of g*h, g^-1 and h^g for portraits drawn
