@@ -10,9 +10,11 @@ below 10^4300.  Every element has the unique normal form a^i b^j with
 `core.PElement` gives the constructor, text form, equality and hash;
 this module writes the multiplication law.  `MetaElement.conjugate_by(x)`
 computes x w x^-1 in closed form: for x = a^u b^v and w = a^i b^j it is
-a^(u + i*twist^v - u*twist^j) b^j, one element built from at most two
-twist powers and no product or inverse.  Conjugating a^i by b^v thus
-multiplies i by twist^v, which is what makes the platform efficient.
+a^(u + i*twist^v - u*twist^j) b^j, one element built with no product
+or inverse.  Conjugating a^i by b^v thus multiplies i by twist^v, which
+is what makes the platform efficient: since m >= 2, every twist power
+is the closed form twist^s = 1 + (s mod p)*p^(m-1) (mod p^m), so no
+operation takes a modular power or keeps a table of them.
 """
 
 from __future__ import annotations
@@ -32,30 +34,29 @@ class MetaElement(PElement):
         G = self.group
         if other.__class__ is not MetaElement or other.group is not G:
             self._check(other)
-        pows = G._twist_pows
-        t = pows[self.j % G.p] if pows is not None else G.twist_pow(self.j)
+        t = 1 + self.j % G.p * G.step
         return _make(G, (self.i + other.i * t) % G.pm, (self.j + other.j) % G.pn)
 
     def inverse(self) -> "MetaElement":
         G = self.group
-        return _make(G, -self.i * G.twist_pow(-self.j) % G.pm, -self.j % G.pn)
+        t = 1 + -self.j % G.p * G.step
+        return _make(G, -self.i * t % G.pm, -self.j % G.pn)
 
     def conjugate_by(self, x: "MetaElement") -> "MetaElement":
         """x * self * x^-1 in closed form, with no product or inverse.
 
         For x = a^u b^v and self = a^i b^j that is
-        a^(u + i*twist^v - u*twist^j) b^j: one `_make` and at most two
-        twist powers, and the second is skipped when u or j is 0, as for
-        a private b^v and a base in <a>.  This is the convention
-        b a b^-1 = a^twist of the presentation; the tree and heisenberg
-        platforms compute x^-1 * self * x instead.
+        a^(u + i*twist^v - u*twist^j) b^j, and with the closed form
+        twist^s = 1 + (s mod p)*p^(m-1) the a-exponent is
+        i + (i*v - u*j)*p^(m-1): one `_make` and no twist power.  This
+        is the convention b a b^-1 = a^twist of the presentation; the
+        tree and heisenberg platforms compute x^-1 * self * x instead.
         """
         G = self.group
         if x.__class__ is not MetaElement or x.group is not G:
             self._check(x)
-        i = self.i * G.twist_pow(x.j)
-        if x.i and self.j:
-            i += x.i * (1 - G.twist_pow(self.j))
+        p = G.p
+        i = self.i + (self.i * (x.j % p) - x.i * (self.j % p)) * G.step
         return _make(G, i % G.pm, self.j)
 
 
@@ -73,7 +74,7 @@ def _make(group: MetacyclicGroup, i: int, j: int) -> MetaElement:
 
 
 class MetacyclicGroup(PGroup):
-    """Parameters p, m, n plus the derived twist machinery."""
+    """Parameters p, m, n, the twist 1 + p^(m-1) and its step p^(m-1)."""
 
     kind = "metacyclic"
     prefix = "mc"
@@ -83,24 +84,18 @@ class MetacyclicGroup(PGroup):
 
     def __init__(self, p: int, m: int, n: int):
         super().__init__(p, m, n)
-        self.twist = 1 + p ** (m - 1)
+        self.step = p ** (m - 1)
+        self.twist = 1 + self.step
         # Construction-time sanity: the twist generates an automorphism of
         # a-exponents of multiplicative order exactly p.
         if pow(self.twist, p, self.pm) != 1 or self.twist % self.pm == 1:
             raise ValueError("twist exponent does not have order p")
-        self._twist_pows: list[int] | None = None
 
-    # twist^j depends only on j mod p, as twist has order p (so twist^-j
-    # is twist^(p-j)); cache the cycle for small p, from the closed form
-    # twist^s = 1 + s*p^(m-1) of `_shift`, which is below p^m for s < p.
+    # The closed form of `_shift`, below p^m and equal to twist^j for
+    # every integer j (twist has order p, so twist^-j is twist^(p-j)).
+    # The element operations write it inline.
     def twist_pow(self, j: int) -> int:
-        j %= self.p
-        if self.p <= 1 << 16:
-            if self._twist_pows is None:
-                step = self.twist - 1
-                self._twist_pows = [1 + s * step for s in range(self.p)]
-            return self._twist_pows[j]
-        return pow(self.twist, j, self.pm)
+        return 1 + j % self.p * self.step
 
     def _shift(self, w: MetaElement, w_x: MetaElement) -> int | None:
         """Steps of p^(m-1) from w.i to w_x.i.  Since m >= 2,
@@ -108,18 +103,19 @@ class MetacyclicGroup(PGroup):
         twist^s = (1 + p^(m-1))^s stops after its linear term:
         twist^s = 1 + s*p^(m-1) (mod p^m), and conjugation by b^s moves
         i by i*s*p^(m-1) and keeps j."""
-        shift, rest = divmod(w_x.i - w.i, self.twist - 1)
+        shift, rest = divmod(w_x.i - w.i, self.step)
         return None if rest or w_x.j != w.j else shift
 
     def _conjugates(self, w: MetaElement):
         # Conjugation by b and by a shifts i by i*p^(m-1) and by
         # -j*p^(m-1); i or j is a unit mod p when w is not central, so
         # the shifts reach every multiple of p^(m-1).
-        step = self.twist - 1
+        step = self.step
         return (_make(self, (w.i + s * step) % self.pm, w.j) for s in range(self.p))
 
 
-# Interned group instances, so parsed elements share power caches.
+# Interned group instances, so parsed elements share one group and pass
+# the operand checks by identity.
 metacyclic_group = cache(MetacyclicGroup)
 
 

@@ -1,10 +1,14 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
+from conjkex import metacyclic
 from conjkex.arith import bsgs_dlog
+from conjkex.cryptanalysis import bsgs_break
 from conjkex.errors import NoSolutionError, ParamMismatchError, ParseError
+from conjkex.kex import run_demo
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group, parse_canonical
 
 
@@ -75,8 +79,8 @@ def test_conjugation_examples():
 
 @pytest.mark.parametrize("p", [1009, 2**127 - 1])
 def test_conjugation_makes_no_product_or_inverse(p, monkeypatch):
-    # x = a^u b^v and w = a^i b^j with u, j != 0, so both twist powers of
-    # the closed form are taken; the products x * w * x^-1 are the oracle.
+    # x = a^u b^v and w = a^i b^j with u, j != 0, so every term of the
+    # closed form is taken; the products x * w * x^-1 are the oracle.
     G = metacyclic_group(p, 2, 2)
     rng = random.Random(p)
     pairs = []
@@ -92,6 +96,49 @@ def test_conjugation_makes_no_product_or_inverse(p, monkeypatch):
     monkeypatch.setattr(MetaElement, "inverse", refuse)
     for w, x, want in pairs:
         assert w.conjugate_by(x) == want
+
+
+@pytest.mark.parametrize("p", [1009, 2**127 - 1])
+def test_session_makes_no_modular_power(p, monkeypatch):
+    # Every twist power is the closed form 1 + (s mod p)*p^(m-1): once the
+    # group is built, a session, its attack and each element operation
+    # run with `pow` refused in the module.  The oracles here use the
+    # builtin pow.
+    G = metacyclic_group(p, 2, 2)
+    rng = random.Random(p)
+    x = G.element(rng.randrange(1, G.pm), rng.randrange(1, G.pn))
+    w = G.element(rng.randrange(1, G.pm), rng.randrange(1, G.pn))
+
+    def refuse(*_):
+        raise AssertionError("a metacyclic operation took a modular power")
+
+    monkeypatch.setattr(metacyclic, "pow", refuse, raising=False)
+    result = run_demo(G.a(1), 1, 2, debug_key=True)
+    assert result.agreed
+    transcript = result.transcript
+    report = bsgs_break(
+        transcript.base_element(),
+        transcript.public_from("alice"),
+        transcript.public_from("bob"),
+    )
+    assert report.recovered_key == result.key_alice
+    t_x, t_w = pow(G.twist, x.j, G.pm), pow(G.twist, w.j, G.pm)
+    assert x * w == G.element(x.i + w.i * t_x, x.j + w.j)
+    assert x.inverse() == G.element(-x.i * pow(t_x, -1, G.pm), -x.j)
+    assert w.conjugate_by(x) == G.element(x.i + w.i * t_x - x.i * t_w, w.j)
+
+
+def test_demo_near_the_size_limit_keeps_memory_small():
+    # p^m is about 10^4287 here, so each a-exponent takes about 1.8 KB;
+    # a table of all p = 65521 twist powers would take about 115 MB.
+    G = metacyclic_group(65521, 890, 2)
+    tracemalloc.start()
+    try:
+        assert run_demo(G.a(1), 1, 2).agreed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_power_examples():
@@ -143,11 +190,27 @@ def test_twist_log_inverts_twist_pow(p, m):
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 7), (5, 3), (7, 4), (101, 2), (1009, 3)])
 def test_twist_table_matches_modular_powers(p, m):
-    # The cached table comes from the closed form 1 + s*p^(m-1); pin it
-    # against plain modular exponentiation.
+    # The table of twist_pow(s), the closed form 1 + (s mod p)*p^(m-1),
+    # over two whole cycles of negative and positive s, against plain
+    # modular exponentiation.
     G = metacyclic_group(p, m, 1)
-    G.twist_pow(0)
-    assert G._twist_pows == [pow(G.twist, s, G.pm) for s in range(p)]
+    for s in range(-2 * p, 2 * p):
+        assert G.twist_pow(s) == pow(G.twist, s, G.pm)
+
+
+@pytest.mark.parametrize("p", [65521, 65537, 2**61 - 1, 2**127 - 1])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_twist_pow_matches_modular_powers_large_p(p, m):
+    # Both sides of 2^16 and multi-limb p; s ranges over both signs,
+    # past p and past p^n, where a b-exponent is reduced.
+    G = metacyclic_group(p, m, 2)
+    rng = random.Random(p * m)
+    exponents = [0, 1, -1, p - 1, p, -p, G.pn, -G.pn, G.pn * p + 1]
+    exponents += [rng.randrange(-p, p) for _ in range(20)]
+    exponents += [rng.randrange(-G.pn * p, G.pn * p) for _ in range(20)]
+    exponents += [rng.randrange(G.pn, G.pn * p) for _ in range(10)]
+    for s in exponents:
+        assert G.twist_pow(s) == pow(G.twist, s, G.pm)
 
 
 @pytest.mark.parametrize("m", [2, 3])
