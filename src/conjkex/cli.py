@@ -2,10 +2,10 @@
 
 Subcommands: demo (run a key exchange, optionally writing a replayable
 transcript), verify (structural claim suites), attack (recover a demo
-transcript's key from public data, on every platform; the tree up to
-depth 8), element (scriptable group arithmetic), tree (Sylow subgroup
-facts for one depth), stats (orbit and key-space statistics, by
-enumerating a group of at most `core.ENUMERATION_CAP` elements).
+transcript's key from public data, on every platform and tree depth),
+element (scriptable group arithmetic), tree (Sylow subgroup facts for
+one depth), stats (orbit and key-space statistics, by enumerating a
+group of at most `core.ENUMERATION_CAP` elements).
 Every --platform takes its own group flags only (-p, -m, -n or -k).
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit

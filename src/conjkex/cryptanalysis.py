@@ -4,11 +4,11 @@ The headline attack recovers the key of a session on any platform from
 public data alone.  The displacement d(x) = w^x * w^-1 is a
 homomorphism on the private subgroup: on the p-groups [w, <b>] is
 central, and on the tree d is GF(2)-linear into an elementary abelian
-group (`TreeSylowGroup.private_log` has the argument).  So the key, w
-moved by both privates, is d(x) d(y) w = w_x * w^-1 * w_y: two products
-whatever the size of the group, the degenerate case of the linear
-decomposition attack (Myasnikov and Roman'kov, Groups Complexity
-Cryptology 7, 2015).
+group (`TreeSylowGroup.private_log` gives its closed form).  So the
+key, w moved by both privates, is d(x) d(y) w = w_x * w^-1 * w_y: two
+products whatever the size of the group, the degenerate case of the
+linear decomposition attack (Myasnikov and Roman'kov, Groups Complexity
+Cryptology 7, 2015).  It reads tree transcripts at every depth.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ class AttackReport:
     wall_ms: float
 
     def to_json(self) -> str:
+        from decimal import Decimal  # str() refuses a tree mask of 4300+ digits
+
         return json.dumps(
             {
                 "recovered_key": self.recovered_key.decode("ascii"),
-                "exponent": str(self.exponent),
+                "exponent": str(Decimal(self.exponent)),
                 "group_ops": str(self.group_ops),
                 "wall_ms": round(self.wall_ms, 3),
             },
@@ -48,10 +50,9 @@ def bsgs_break(w, w_x, w_y) -> AttackReport:
     The key is w_x * w^-1 * w_y, and `exponent` is the index of a
     private that moves w to w_x, from `group.private_log`: the least
     s in [0, p) with b^s on the p-groups, read by one division, and a
-    level-(k-2) label mask on the tree, solved over GF(2) for
-    k <= MAX_SUBGROUP_DEPTH.  The name is historical: no baby-step
-    giant-step runs here; `arith.bsgs_dlog` is the tests' oracle for
-    the metacyclic s.
+    level-(k-2) label mask on the tree, at every depth.  The name is
+    historical: no baby-step giant-step runs here; `arith.bsgs_dlog`
+    is the tests' oracle for the metacyclic s.
     """
     group = w.group
     if w_x.group != group or w_y.group != group:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -58,7 +58,7 @@ from .errors import (
 _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
-MAX_SUBGROUP_DEPTH = 8  # Subgroup (G' and Phi(G') take about 1.5-1.7 s at k = 8), private_log
+MAX_SUBGROUP_DEPTH = 8  # Subgroup only: G' and Phi(G') take about 1.5-1.7 s at k = 8
 
 
 class TreeSylowGroup(Group):
@@ -307,37 +307,36 @@ class TreeSylowGroup(Group):
         """A level-(k-2) label mask s with w.conjugate_by(x_s) == w_x, for
         x_s = commuting_conjugator(s); NoSolutionError when there is none.
 
-        packed(w^(x_s)) XOR packed(w) is GF(2)-linear in s.  Conjugation
-        maps each level-(k-2) label to one such label, alone or with both
-        bottom labels below it, so d(x) = x^-1 * (w * x * w^-1) is a
-        homomorphism into the elementary abelian group of the privates
-        and those bottom pairs (which is also why the key is
-        w_x * w^-1 * w_y), and w^x = d(x) * w is linear in d(x).  So s is
-        solved over the images of the 2^(k-2) single-vertex privates,
-        reduced by leading bit as `Subgroup` keys its basis.  That is 2^(k-2) conjugations, refused
-        before the first past MAX_SUBGROUP_DEPTH: the solve takes
-        0.08-0.2 s at k = 14 and 0.5-2.3 s at k = 16 (CPython 3.11), and
-        from k = 16 s can pass Python's 4300-digit int-to-str limit.
+        The displacement packed(w^(x_s)) XOR packed(w) is zero above level
+        k-2, is s_i XOR s_pi(i) at vertex i of level k-2, where pi is w's
+        permutation of that level, and flips the bottom pair under each i
+        in s where w's two labels differ: GF(2)-linear in s, which is also
+        why the key is w_x * w^-1 * w_y.  So with tau = w XOR w_x, s_pi(i)
+        = s_i XOR tau_i along each cycle of pi, from a vertex whose pair
+        differs, where tau's pair gives s, or else from s = 0 (either start
+        gives the same w_x).  Labels are read once, as text, level l from
+        index 2^l - 1, and one conjugation checks the mask: the whole
+        refusal test.  0.05 ms at k = 8, 2-3 ms at k = 14, 8-11 ms at
+        k = 16, 0.15-0.2 s at k = 20 (CPython 3.11).
         """
-        if self.k > MAX_SUBGROUP_DEPTH:
-            raise DepthTooLargeError(f"private_log limited to k <= {MAX_SUBGROUP_DEPTH}")
-        pivots: dict[int, tuple[int, int]] = {}
-
-        def reduce(image: int, s: int) -> tuple[int, int]:
-            while image and (pivot := pivots.get(image.bit_length())):
-                image ^= pivot[0]
-                s ^= pivot[1]
-            return image, s
-
-        for bit in range(1 << self.commuting_subgroup_level()):
-            x = self.commuting_conjugator(1 << bit)
-            image, s = reduce(w.conjugate_by(x).packed ^ w.packed, 1 << bit)
-            if image:
-                pivots[image.bit_length()] = (image, s)
-        image, s = reduce(w_x.packed ^ w.packed, 0)
-        if image:
+        n = 1 << self.commuting_subgroup_level()
+        labels, tau = (format(g, f"0{self.bit_count}b") for g in (w.packed, w.packed ^ w_x.packed))
+        pi = [0]  # w's image of each vertex, one level at a time from the root
+        for level in range(self.k - 2):
+            row = labels[(1 << level) - 1:(2 << level) - 1]
+            pi = [2 * q + (c ^ (b == "1")) for q, b in zip(pi, row) for c in (0, 1)]
+        anchored = bytes(a != b for a, b in zip(labels[2 * n - 1::2], labels[2 * n::2]))
+        s = bytearray(n)  # b"0" or b"1" per vertex once walked
+        for start in chain(compress(range(n), anchored), range(n)):  # anchors first
+            j, bit = start, anchored[start] and tau[2 * n - 1 + 2 * start] == "1"
+            while not s[j]:
+                s[j] = 48 | bit
+                bit ^= tau[n - 1 + j] == "1"
+                j = pi[j]
+        mask = int(s[::-1], 2)
+        if w.conjugate_by(self.commuting_conjugator(mask)) != w_x:
             raise NoSolutionError("no level-(k-2) private conjugates the base to this value")
-        return s
+        return mask
 
     def _mismatch(self, other: "TreeSylowGroup") -> DepthMismatchError:
         return DepthMismatchError(f"depth mismatch: {self.k} vs {other.k}")

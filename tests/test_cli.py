@@ -1,14 +1,16 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
 from conjkex.cli import main
 from conjkex.kex import Transcript, parse_element
-from conjkex.treegroup import Portrait, tree_group
+from conjkex.treegroup import tree_group
 
 
 def run_cli(capsys, *argv):
@@ -277,10 +279,27 @@ def test_attack_requires_debug_key(capsys, tmp_path):
     assert "error" in err
 
 
+def _dense_tree_base(k):
+    """A usable tree base labelled at random on every level."""
+    G = tree_group(k)
+    rng = random.Random(k)
+    w = G.from_packed(rng.randrange(G.order))
+    while not G.usable_base(w):
+        w = G.from_packed(rng.randrange(G.order))
+    return w.canonical()
+
+
+# The tree at every depth past the subgroup engine's too, up to
+# MAX_DEPTH, on the default and a dense base: from k = 16 a dense base's
+# mask passes the 4300-digit int-to-str limit, and the exponent prints.
 PLATFORM_ARGS = {
     "metacyclic": ["--platform", "metacyclic", "-p", "1009", "-m", "2", "-n", "2"],
     "heisenberg": ["--platform", "heisenberg", "-p", "1009", "-m", "2", "-n", "2"],
-    **{f"tree-{k}": ["--platform", "tree", "-k", str(k)] for k in range(2, 9)},
+    **{f"tree-{k}": ["--platform", "tree", "-k", str(k)] for k in (*range(2, 10), 12, 16, 20)},
+    **{
+        f"tree-{k}-dense": ["--platform", "tree", "-k", str(k), "--base", _dense_tree_base(k)]
+        for k in (9, 12, 16, 20)
+    },
 }
 
 
@@ -295,21 +314,22 @@ def test_attack_recovers_the_key_on_every_platform(capsys, tmp_path, platform):
     # The exponent indexes a private that moves the base to Alice's public.
     transcript = Transcript.from_text(path.read_text())
     w, w_x = transcript.base_element(), transcript.public_from("alice")
-    assert w.conjugate_by(w.group.commuting_conjugator(int(report["exponent"]))) == w_x
+    s = int(Decimal(report["exponent"]))
+    assert w.conjugate_by(w.group.commuting_conjugator(s)) == w_x
 
 
-def test_attack_refuses_the_tree_past_depth_8_before_conjugating(capsys, tmp_path, monkeypatch):
-    path, _ = _write_demo_transcript(
-        capsys, tmp_path, platform_args=["--platform", "tree", "-k", "9"]
-    )
-
-    def refuse(*_):
-        raise AssertionError("conjugated before refusing the depth")
-
-    monkeypatch.setattr(Portrait, "conjugate_by", refuse)
+def test_attack_refuses_a_tree_public_outside_the_orbit(capsys, tmp_path):
+    # One flipped label in Alice's public at k = 12: the walk's one check
+    # fails, and the refusal is a usage error, not a traceback.
+    path, _ = _write_demo_transcript(capsys, tmp_path, platform_args=["--platform", "tree", "-k", "12"])
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    alice = next(line for line in lines if line.get("from") == "alice")
+    public = parse_element(alice["value"])
+    alice["value"] = public.group.from_packed(public.packed ^ 1 << 700).canonical()
+    path.write_text("".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines))
     code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: private_log limited to k <= 8\n"
+    assert err == "error: no level-(k-2) private conjugates the base to this value\n"
 
 
 @pytest.mark.parametrize("other", [

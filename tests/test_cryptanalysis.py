@@ -107,7 +107,7 @@ def test_op_count_is_constant_in_p(p):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_break_recovers_tree_keys_on_dense_bases(k):
-    # The two-product key and the GF(2) solve, on random dense bases as
+    # The two-product key and the cycle walk, on random dense bases as
     # well as the default one.
     G = tree_group(k)
     rng = random.Random(71 + k)

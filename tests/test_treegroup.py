@@ -12,6 +12,7 @@ from conjkex.errors import (
     DepthMismatchError,
     DepthTooLargeError,
     LevelOutOfRangeError,
+    NoSolutionError,
     NotAGroupError,
     ParseError,
     TooLargeError,
@@ -883,6 +884,91 @@ def test_mask_cache_gives_the_results_of_a_fresh_copy(k):
             x.conjugate_by(other)
     # An equal group held in another object passes them.
     assert x.conjugate_by(TreeSylowGroup(k).from_packed(y.packed)) == x.conjugate_by(y)
+
+
+# ----------------------------------------------------------- private_log
+
+def _orbit(G, w):
+    """Oracle: w conjugated by every level-(k-2) private."""
+    return {w.conjugate_by(G.commuting_conjugator(s)) for s in range(G.commuting_subgroup_order())}
+
+
+def _assert_log_matches_orbit(G, w, candidates):
+    orbit = _orbit(G, w)
+    for h in candidates:
+        if h in orbit:
+            assert w.conjugate_by(G.commuting_conjugator(G.private_log(w, h))) == h
+        else:
+            with pytest.raises(NoSolutionError):
+                G.private_log(w, h)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_private_log_matches_the_orbit_exhaustively(k):
+    # Every usable base against every portrait.
+    G = tree_group(k)
+    portraits = list(G.elements())
+    for w in filter(G.usable_base, portraits):
+        _assert_log_matches_orbit(G, w, portraits)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_private_log_matches_the_orbit_on_sampled_bases(k):
+    # Random portraits, and the orbit with one label flipped, which lands
+    # next to the orbit and mostly outside it.
+    G = tree_group(k)
+    rng = random.Random(40 + k)
+    bases = []
+    while len(bases) < 12:
+        w = G.from_packed(rng.randrange(G.order))
+        if G.usable_base(w):
+            bases.append(w)
+    for w in bases:
+        orbit = _orbit(G, w)
+        candidates = [*orbit, *(G.from_packed(rng.randrange(G.order)) for _ in range(20))]
+        candidates += [G.from_packed(h.packed ^ 1 << rng.randrange(G.bit_count)) for h in orbit]
+        _assert_log_matches_orbit(G, w, candidates)
+
+
+@pytest.mark.parametrize("k", range(6, MAX_DEPTH + 1))
+def test_private_log_solves_random_privates_at_every_depth(k):
+    G = tree_group(k)
+    rng = random.Random(60 + k)
+    half = 1 << (k - 1)
+    level = rng.randrange(k - 2)  # above the privates' level, so the base is usable
+    bases = {
+        "dense": G.from_packed(rng.randrange(G.order)),
+        "single-vertex": G.single(level, rng.randrange(1 << level)),
+        "default": G.default_base(),
+        "bottom-only": G.from_level_masks({k - 1: rng.randrange(1 << half)}),
+        # Every bottom pair differs, so every private moves it differently.
+        "full-key": G.from_level_masks({k - 1: (1 << half) // 3}),
+    }
+    for name, w in bases.items():
+        assert G.usable_base(w), name
+        s = rng.randrange(G.commuting_subgroup_order())
+        w_x = w.conjugate_by(G.commuting_conjugator(s))
+        found = G.private_log(w, w_x)
+        assert w.conjugate_by(G.commuting_conjugator(found)) == w_x, name
+        if name == "full-key":
+            assert found == s
+
+
+def test_private_log_conjugates_once(monkeypatch):
+    # One conjugation, the check, whether the mask is found or refused,
+    # not one per level-(k-2) vertex (2^10 here).
+    G = tree_group(12)
+    rng = random.Random(12)
+    w = G.from_packed(rng.randrange(G.order))
+    w_x = w.conjugate_by(G.commuting_conjugator(rng.randrange(G.commuting_subgroup_order())))
+    calls = []
+    conjugate_by = Portrait.conjugate_by
+    monkeypatch.setattr(Portrait, "conjugate_by", lambda g, x: calls.append(x) or conjugate_by(g, x))
+    G.private_log(w, w_x)
+    assert len(calls) == 1
+    with pytest.raises(NoSolutionError):
+        G.private_log(w, G.from_packed(w_x.packed ^ 1))
+    assert len(calls) == 2
 
 
 def test_canonical_roundtrip():
