@@ -20,6 +20,13 @@ Every element answers `*`, `inverse()`, `conjugate_by(x)`,
 `canonical()`, `is_central()`, `is_identity()`, powers and
 `commutes_with(h)`.
 
+Elements are built only through their group.  The checked constructors
+are the p-groups' `element(*exponents)`, which takes one int per
+exponent and reduces it, and the tree's `from_packed(packed)`, which
+refuses a non-int, a negative and a value wider than the tree.  Both
+then build with the platform's private `_make`, as every result that
+is in range by construction does; an element class refuses a call.
+
 The group classes derive from `Group`, which gives them ownership
 checks, equality and hashing over their parameter tuple, and the
 conjugacy class as a closure under generator conjugation.  The element
@@ -29,12 +36,12 @@ hash over their value fields (`_value`).  Each platform writes its own
 `__mul__`, `inverse` and `conjugate_by`: they are the hot paths.
 
 The two p-group platforms share more.  `PGroup` holds their parameters
-(refusing a p^m or p^n too long to print), normal form, enumeration,
-centre and key-exchange roles.  `PElement` derives from each element
-class's `__slots__` its public constructor, its text form
-`canonical()` and its value fields, so a p-group element class writes
-only its slots, its algebra and its private `_make`.
-`canonical_parser` builds their strict parsers.
+(refusing a p^m or p^n too long to print), checked constructor, normal
+form, enumeration, centre and key-exchange roles.  `PElement` derives
+from each element class's `__slots__` its text form `canonical()` and
+its value fields, so a p-group element class writes only its slots,
+its algebra and its private `_make`.  `canonical_parser` builds their
+strict parsers.
 
 Conjugation convention: `w.conjugate_by(x)` is x^-1 * w * x on the
 heisenberg and tree platforms, and x * w * x^-1 on the metacyclic one,
@@ -47,7 +54,7 @@ from __future__ import annotations
 
 import re
 from itertools import product, starmap
-from operator import attrgetter
+from operator import attrgetter, mod
 from typing import Callable
 
 from .arith import is_probable_prime
@@ -121,7 +128,7 @@ class Group:
         return {name: str(getattr(self, name)) for name in self.param_names}
 
     def _own(self, g) -> None:
-        if g.group is not self:
+        if g.group is not self and g.group != self:
             raise ParamMismatchError("element belongs to a different group")
 
     def _mismatch(self, other: "Group") -> ConjKexError:
@@ -149,12 +156,13 @@ class Group:
 class Element:
     """Base of the platform elements: immutable values of one group.
 
-    A subclass declares its `__slots__`, with `group` among them, and
-    sets them through the slot descriptors or on its `mutable_twin`,
-    since `__setattr__` refuses.  It sets `_value`, a getter of the
-    fields that hold its value (not `group`, nor any cache).  Two
-    elements are equal when they share a class and a value and their
-    groups are one object or equal; the hash is the value's.
+    A subclass declares its `__slots__`, with `group` among them, and no
+    `__init__`, so a call of the class is refused with TypeError; its
+    private `_make` fills a `mutable_twin`, since `__setattr__` refuses.
+    It sets `_value`, a getter of the fields that hold its value (not
+    `group`, nor any cache).  Two elements are equal when they share a
+    class and a value and their groups are one object or equal; the
+    hash is the value's.
     """
 
     __slots__ = ()
@@ -197,20 +205,15 @@ class Element:
 
 def mutable_twin(element_class) -> type:
     """A class with `element_class`'s base and slots and plain attribute
-    assignment, for a private constructor to fill: it sets the fields
-    as ordinary attributes, then assigns `element_class` to the new
+    assignment, for a platform's `_make` to fill: it sets the fields as
+    ordinary attributes, then assigns `element_class` to the new
     object's `__class__`, after which `Element.__setattr__` refuses
     every further assignment.  That is faster than setting each slot
-    through its descriptor.  `object.__init__` keeps the twin's call as
-    cheap as a bare allocation when the base has a public `__init__`."""
+    through its descriptor."""
     return type(
         f"_Mutable{element_class.__name__}",
         element_class.__bases__,
-        {
-            "__slots__": element_class.__slots__,
-            "__setattr__": object.__setattr__,
-            "__init__": object.__init__,
-        },
+        {"__slots__": element_class.__slots__, "__setattr__": object.__setattr__},
     )
 
 
@@ -267,7 +270,16 @@ class PGroup(Group):
         self.tag = f"{self.prefix}:p={p};m={m};n={n}"
 
     def element(self, *exponents):
-        return self.element_class(self, *exponents)
+        """The checked constructor: one int per exponent, each reduced
+        mod its modulus."""
+        if len(exponents) != len(self.moduli):
+            raise TypeError(
+                f"{self.element_class.__name__} takes {len(self.moduli)} exponents"
+            )
+        for exponent in exponents:
+            if not isinstance(exponent, int):
+                raise TypeError(f"exponents must be ints, not {type(exponent).__name__}")
+        return self._make(self, *map(mod, exponents, self.moduli))
 
     def identity(self):
         return self._make(self, 0, 0)
@@ -339,17 +351,14 @@ class PGroup(Group):
 class PElement(Element):
     """Base of the p-group elements.  A subclass declares `__slots__` as
     "group" and then its exponent names, which become its
-    `exponent_names`; this class derives from them the public
-    constructor, `canonical()` and the value, the exponent tuple, which
-    `Element` compares and hashes.
+    `exponent_names`; this class derives from them `canonical()` and the
+    value, the exponent tuple, which `Element` compares and hashes.
 
-    Inputs are checked at the public boundary: the constructor takes one
-    int per exponent and reduces each mod the group's `moduli`.
-    Products, inverses, conjugates and the group's enumerations build
-    their results with the subclass's private `_make`, which stores
-    exponents that are in range by construction (each is reduced where
-    it is computed) and skips `__init__`: it fills the element class's
-    `mutable_twin` and then gives it the element class.
+    Every element comes from the subclass's private `_make`, which
+    stores exponents that are in range by construction: the group's
+    `element` checks and reduces its input first, and products,
+    inverses, conjugates and enumerations reduce each exponent where
+    they compute it.
     """
 
     __slots__ = ()
@@ -359,15 +368,6 @@ class PElement(Element):
         cls.exponent_names = names = cls.__slots__[1:]
         cls._value = attrgetter(*names)
         cls._text = "".join(f";{name}={{}}" for name in names).format
-
-    def __init__(self, group, *exponents):
-        if len(exponents) != len(self.exponent_names):
-            raise TypeError(
-                f"{type(self).__name__} takes {len(self.exponent_names)} exponents"
-            )
-        object.__setattr__(self, "group", group)
-        for name, exponent, modulus in zip(self.exponent_names, exponents, group.moduli):
-            object.__setattr__(self, name, exponent % modulus)
 
     def canonical(self) -> str:
         return self.group.tag + self._text(*self._value(self))

@@ -39,10 +39,6 @@ class NotAGroupError(ConjKexError):
     """Element set is not closed under the group operation."""
 
 
-class SessionStateError(ConjKexError):
-    """The two parties' sampled privates do not commute."""
-
-
 class TranscriptError(ConjKexError):
     """Handshake transcript is malformed or incomplete."""
 

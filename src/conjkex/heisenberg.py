@@ -8,8 +8,9 @@ The platform is
 with p an odd prime, m, n >= 1 and p^m, p^n below 10^4300; |G| =
 p^(m+n+1).  Normal form is a^i b^j c^k, and the commutator of any two
 elements lands in the central <c>, so conjugation only ever shifts the
-c-exponent.  The shared `core.PElement` gives the constructor, text
-form, equality and hash; this module writes the multiplication law.
+c-exponent.  The shared `core.PGroup` gives the checked constructor
+`element(i, j, k)` and `core.PElement` the text form, equality and
+hash; this module writes the multiplication law.
 """
 
 from __future__ import annotations

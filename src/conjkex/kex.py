@@ -4,7 +4,11 @@ Both parties share a base element w.  Each draws a private element from
 a designated elementwise-commuting subgroup, publishes the conjugate of
 w under it, and conjugates the peer's public value with its own private;
 because the privates commute, both arrive at the same group element.
-The shared secret is the canonical text form of that element, as bytes.
+That they commute is a property of the designated subgroup, which each
+group states once (`commuting_conjugator`), so a session checks it no
+further and forms no group product; `DemoResult.agreed` reports the
+outcome.  The shared secret is the canonical text form of that element,
+as bytes.
 
 This module states no platform policy; each group class states its own
 (the contract in `core`):
@@ -33,12 +37,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import heisenberg, metacyclic, treegroup
-from .errors import (
-    ParseError,
-    PlatformMismatchError,
-    SessionStateError,
-    TranscriptError,
-)
+from .errors import ParseError, PlatformMismatchError, TranscriptError
 from .rng import ALGORITHM_ID, SplitMix64
 
 # Each platform's interned group factory, whose parameters are the
@@ -190,9 +189,6 @@ def run_demo(base, seed_alice: int, seed_bob: int, debug_key: bool = False) -> D
     group = base.group
     alice = Session("alice", base, seed_alice)
     bob = Session("bob", base, seed_bob)
-    # The algebra needs commuting privates; cheap to check outright.
-    if not alice.private.commutes_with(bob.private):
-        raise SessionStateError("sampled privates do not commute")
 
     transcript = Transcript()
     transcript.add(type="header", rng=ALGORITHM_ID)

@@ -7,8 +7,9 @@ The platform is the semidirect product of two cyclic p-groups,
 with twist = 1 + p^(m-1), p an odd prime, m >= 2, n >= 1, and p^m, p^n
 below 10^4300.  Every element has the unique normal form a^i b^j with
 0 <= i < p^m, 0 <= j < p^n, so equality is componentwise.  The shared
-`core.PElement` gives the constructor, text form, equality and hash;
-this module writes the multiplication law.  `MetaElement.conjugate_by(x)`
+`core.PGroup` gives the checked constructor `element(i, j)` and
+`core.PElement` the text form, equality and hash; this module writes
+the multiplication law.  `MetaElement.conjugate_by(x)`
 computes x w x^-1 in closed form: for x = a^u b^v and w = a^i b^j it is
 a^(u + i*twist^v - u*twist^j) b^j, one element built with no product
 or inverse.  Conjugating a^i by b^v thus multiplies i by twist^v, which

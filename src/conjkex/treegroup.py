@@ -100,10 +100,18 @@ class TreeSylowGroup(Group):
     # ----------------------------------------------------------- elements
 
     def identity(self) -> "Portrait":
-        return Portrait(self, 0)
+        return _make(self, 0)
 
     def from_packed(self, packed: int) -> "Portrait":
-        return Portrait(self, packed)
+        """The checked constructor: an int in [0, 2^(2^k - 1))."""
+        if not isinstance(packed, int):
+            raise TypeError(f"packed value must be an int, not {type(packed).__name__}")
+        if packed >> self.bit_count:
+            raise ValueError(
+                f"packed value {packed} is negative" if packed < 0
+                else "packed value has more bits than the tree has vertices"
+            )
+        return _make(self, int(packed))
 
     def from_level_masks(self, masks: dict[int, int]) -> "Portrait":
         """Bit p of masks[level] labels vertex p of that level."""
@@ -112,7 +120,10 @@ class TreeSylowGroup(Group):
             self._check_level(level)
             width = 1 << level
             if mask >> width:
-                raise ValueError(f"mask {mask:#x} too wide for level {level}")
+                raise ValueError(
+                    f"mask {mask} for level {level} is negative" if mask < 0
+                    else f"mask {mask:#x} too wide for level {level}"
+                )
             packed |= _reverse(mask, width) << self._offset(level)
         return _make(self, packed)
 
@@ -348,24 +359,15 @@ tree_group = cache(TreeSylowGroup)
 class Portrait(Element):
     """One swap/identity bit per internal vertex, packed level-order.
 
-    Inputs are checked at the public boundary: this constructor rejects
-    a packed value wider than the tree.  Products, inverses,
-    `from_level_masks` (which checks each level's width) and the
-    enumeration build their results with the private `_make`, which
-    skips that check because each such value is in range by
-    construction (a product's levels are its factors' levels, XORed and
-    permuted within each level).
+    Every portrait comes from the private `_make`, which stores a value
+    in range by construction: the group's `from_packed`, its
+    `from_level_masks` and `parse_canonical` check their input's width
+    first, and a product's levels are its factors' levels, XORed and
+    permuted within each level.
     """
 
     __slots__ = ("group", "packed", "_masks")
     _value = attrgetter("packed")  # never the _masks cache
-
-    def __init__(self, group: TreeSylowGroup, packed: int):
-        if packed >> group.bit_count:
-            raise ValueError("packed value has more bits than the tree has vertices")
-        _set_group(self, group)
-        _set_packed(self, packed)
-        _set_masks(self, None)
 
     def bit(self, level: int, pos: int) -> int:
         """The label of vertex pos on the level."""
@@ -451,8 +453,6 @@ class Portrait(Element):
         return f"Portrait(k={self.group.k}, bits={self.packed:#x})"
 
 
-_set_group = Portrait.group.__set__
-_set_packed = Portrait.packed.__set__
 _set_masks = Portrait._masks.__set__
 _MutablePortrait = mutable_twin(Portrait)
 
@@ -585,4 +585,4 @@ def parse_canonical(text: str) -> Portrait:
         raise ParseError(str(exc)) from None
     if packed >> group.bit_count:
         raise ParseError("bit string longer than the tree has vertices")
-    return group.from_packed(packed)
+    return _make(group, packed)

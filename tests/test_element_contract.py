@@ -80,6 +80,36 @@ def test_tree_distinct_equal_groups_interoperate():
     assert h.conjugate_by(g) == same_h.conjugate_by(g)
 
 
+def test_group_methods_accept_elements_of_an_equal_group():
+    # One ownership rule: what `*` accepts, the group's own methods accept.
+    G, fresh = metacyclic_group(3, 2, 2), MetacyclicGroup(3, 2, 2)
+    assert G.conjugacy_class(fresh.a()) == G.conjugacy_class(G.a())
+    H, fresh_h = heisenberg_group(3, 1, 1), HeisenbergGroup(3, 1, 1)
+    assert H.conjugacy_class(fresh_h.a()) == H.conjugacy_class(H.a())
+    T, fresh_t = tree_group(3), TreeSylowGroup(3)
+    subgroup = T.closure([fresh_t.single(1, 0)])
+    assert subgroup.order == T.closure([T.single(1, 0)]).order == 2
+    assert fresh_t.single(1, 0) in subgroup and fresh_t.single(0, 0) not in subgroup
+    assert T.conjugacy_class(fresh_t.single(2, 0)) == T.conjugacy_class(T.single(2, 0))
+    derived = T.derived_subgroup(fresh_t.generator_elements())
+    assert derived.order == T.derived_subgroup(T.generator_elements()).order == 2 ** 4
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: metacyclic_group(3, 2, 2).conjugacy_class(metacyclic_group(3, 2, 3).a()),
+    lambda: metacyclic_group(3, 2, 2).conjugacy_class(heisenberg_group(3, 2, 2).a()),
+    lambda: heisenberg_group(3, 1, 1).conjugacy_class(HeisenbergGroup(5, 1, 1).a()),
+    lambda: tree_group(3).closure([TreeSylowGroup(4).single(1, 0)]),
+    lambda: tree_group(3).closure([metacyclic_group(3, 2, 2).a()]),
+    lambda: tree_group(3).single(1, 0) in tree_group(4).closure([tree_group(4).single(1, 0)]),
+    lambda: tree_group(3).conjugacy_class(tree_group(2).single(1, 0)),
+], ids=["mc-params", "mc-platform", "mm-params", "tree-depth", "tree-platform",
+        "tree-contains", "tree-class"])
+def test_group_methods_refuse_elements_of_other_groups(refuse):
+    with pytest.raises(ParamMismatchError, match="different group"):
+        refuse()
+
+
 # -------------------------------------------------- mismatches still raise
 
 @pytest.mark.parametrize("other", [
@@ -153,9 +183,9 @@ def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
         return pow(G.twist, j, G.pm)
 
     cases = [
-        (g * h, MetaElement(G, g.i + h.i * t(g.j), g.j + h.j)),
-        (g.inverse(), MetaElement(G, -g.i * t(-g.j), -g.j)),
-        (h.conjugate_by(g), MetaElement(G, h.i * t(g.j) + g.i * (1 - t(h.j)), h.j)),
+        (g * h, G.element(g.i + h.i * t(g.j), g.j + h.j)),
+        (g.inverse(), G.element(-g.i * t(-g.j), -g.j)),
+        (h.conjugate_by(g), G.element(h.i * t(g.j) + g.i * (1 - t(h.j)), h.j)),
         (h.conjugate_by(g), g * h * g.inverse()),
         (parse_metacyclic(g.canonical()), g),
     ]
@@ -175,8 +205,8 @@ def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2,
     G = heisenberg_group(*params)
     g, h = G.element(i1, j1, k1), G.element(i2, j2, k2)
     cases = [
-        (g * h, HeisenbergElement(G, g.i + h.i, g.j + h.j, g.k + h.k - g.j * h.i)),
-        (g.inverse(), HeisenbergElement(G, -g.i, -g.j, -g.k - g.i * g.j)),
+        (g * h, G.element(g.i + h.i, g.j + h.j, g.k + h.k - g.j * h.i)),
+        (g.inverse(), G.element(-g.i, -g.j, -g.k - g.i * g.j)),
         (h.conjugate_by(g), conjugate_via_products(h, g)),
         (parse_heisenberg(g.canonical()), g),
     ]
@@ -204,7 +234,7 @@ def test_tree_results_match_public_constructor(data, k):
     g, h = data.draw(portraits(G)), data.draw(portraits(G))
     pg, ph = g.to_permutation(), h.to_permutation()
     for got in (g * h, g.inverse(), h.conjugate_by(g), parse_tree(g.canonical())):
-        want = Portrait(G, got.packed)  # raises if out of range
+        want = G.from_packed(got.packed)  # raises if out of range
         assert got == want and hash(got) == hash(want)
         assert type(got) is Portrait
         assert got.group is G
@@ -391,8 +421,68 @@ def test_pgroup_constructor_refuses_the_wrong_arity(group_class, factory):
     for count in {0, 1, arity - 1, arity + 1}:
         with pytest.raises(TypeError, match=f"takes {arity} exponents"):
             G.element(*range(count))
-        with pytest.raises(TypeError, match=f"takes {arity} exponents"):
+    # The element class is no constructor, at any arity: only the group builds.
+    for count in {0, 1, arity - 1, arity, arity + 1}:
+        with pytest.raises(TypeError):
             G.element_class(G, *range(count))
+
+
+def test_element_classes_refuse_a_call():
+    G, H, T = metacyclic_group(3, 2, 2), heisenberg_group(3, 2, 2), tree_group(3)
+    for build in (
+        lambda: MetaElement(G, 1, 0),
+        lambda: HeisenbergElement(H, 1, 0, 0),
+        lambda: Portrait(T, 1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+@PGROUP_PLATFORMS
+@pytest.mark.parametrize("bad", [1.5, "1", None, 2 ** 70 + 0.0], ids=repr)
+def test_pgroup_element_refuses_non_int_exponents(group_class, factory, bad):
+    G = factory(3, 2, 2)
+    zeros = (0,) * (len(G.moduli) - 1)
+    for exponents in ((bad, *zeros), (*zeros, bad)):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            G.element(*exponents)
+
+
+@PGROUP_PLATFORMS
+def test_pgroup_element_takes_bools_as_ints(group_class, factory):
+    G = factory(3, 2, 2)
+    zeros = (0,) * (len(G.moduli) - 2)
+    g = G.element(True, False, *zeros)
+    assert g == G.element(1, 0, *zeros) and g.canonical() == G.a().canonical()
+    assert all(type(e) is int for e in g._value(g))
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, 1.0], ids=repr)
+def test_tree_from_packed_refuses_non_ints(bad):
+    with pytest.raises(TypeError, match="packed value must be an int"):
+        tree_group(3).from_packed(bad)
+
+
+def test_tree_refuses_negative_input_as_negative():
+    T = tree_group(3)
+    for refuse in (lambda: T.from_packed(-1), lambda: T.from_packed(-(1 << 70))):
+        with pytest.raises(ValueError, match="packed value -[0-9]+ is negative"):
+            refuse()
+    for level, mask in ((2, -1), (0, -2), (1, -(1 << 70))):
+        with pytest.raises(ValueError, match=f"for level {level} is negative"):
+            T.from_level_masks({level: mask})
+    # Too wide is still worded as too wide.
+    with pytest.raises(ValueError, match="more bits than the tree has vertices"):
+        T.from_packed(1 << T.bit_count)
+    with pytest.raises(ValueError, match="too wide for level 2"):
+        T.from_level_masks({2: 16})
+
+
+def test_tree_from_packed_takes_bools_as_ints():
+    T = tree_group(3)
+    g = T.from_packed(True)
+    assert g == T.from_packed(1) and type(g.packed) is int
+    assert g.canonical() == "tg:k=3;bits=1" and T.from_packed(False).is_identity()
 
 
 @PGROUP_PLATFORMS

@@ -11,7 +11,7 @@ from conjkex.errors import (
     PlatformMismatchError,
     TranscriptError,
 )
-from conjkex.heisenberg import heisenberg_group
+from conjkex.heisenberg import HeisenbergElement, heisenberg_group
 from conjkex.kex import (
     PLATFORMS,
     Session,
@@ -21,9 +21,9 @@ from conjkex.kex import (
     sample_private,
     validate_base,
 )
-from conjkex.metacyclic import metacyclic_group
+from conjkex.metacyclic import MetaElement, metacyclic_group
 from conjkex.rng import SplitMix64
-from conjkex.treegroup import tree_group
+from conjkex.treegroup import Portrait, tree_group
 from oracles import conjugate_via_products
 
 MC = metacyclic_group(3, 2, 2)
@@ -268,13 +268,59 @@ def test_key_lies_in_base_orbit():
         assert result.key_alice in orbit
 
 
+M127 = 2 ** 127 - 1
+
+# The benchmark's session shapes: p-groups at m = n = 2, trees with the
+# default base.
+SESSION_GROUPS = [
+    metacyclic_group(1009, 2, 2), metacyclic_group(M127, 2, 2),
+    heisenberg_group(1009, 2, 2), heisenberg_group(M127, 2, 2),
+    *map(tree_group, (4, 10, 12, 14)),
+]
+
+
 def test_sampled_privates_commute():
-    for group in (MC, heisenberg_group(3, 1, 1), tree_group(4)):
+    # The only guard of the invariant: sessions do not check it.
+    for group in (MC, heisenberg_group(3, 1, 1), *SESSION_GROUPS):
         rng = SplitMix64(11)
         for _ in range(50):
             x = sample_private(group, rng)
             y = sample_private(group, rng)
-            assert x * y == y * x
+            assert x * y == y * x, group
+
+
+def _dense_tree_base():
+    G = tree_group(8)
+    base = G.from_packed(SplitMix64(5).randbits(G.bit_count))
+    assert all(base.level_mask(level) for level in range(G.k))  # labelled on every level
+    return base
+
+
+@pytest.mark.parametrize("base", [
+    metacyclic_group(M127, 2, 2).default_base(),
+    heisenberg_group(M127, 2, 2).default_base(),
+    tree_group(4).default_base(),
+    tree_group(12).default_base(),
+    _dense_tree_base(),
+], ids=["metacyclic", "heisenberg", "tree-4", "tree-12", "tree-8-dense"])
+def test_a_session_forms_no_group_products(monkeypatch, base):
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    for cls in (MetaElement, HeisenbergElement, Portrait):
+        for name in ("__mul__", "inverse"):
+            monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", getattr(cls, name)))
+    result = run_demo(base, 3, 4, debug_key=True)
+    assert result.agreed
+    assert calls == []
+    # The wrappers count: one product is seen.
+    base * base
+    assert calls == [f"{type(base).__name__}.__mul__"]
 
 
 def test_tree_depth_one_cannot_run_kex():
