@@ -8,8 +8,8 @@ normal form, so element equality compares fields.  Every group answers:
 - `p`, `log_order` and `order`: every platform is a p-group, and
   |G| = p^log_order;
 - `identity()`, `generator_elements()` (a minimal generating set),
-  `elements()` (an enumeration, refused past a size limit) and
-  `conjugacy_class(w)`;
+  `elements()` (an enumeration, refused past a size limit), `index(g)`
+  (g's position in that enumeration) and `conjugacy_class(w)`;
 - the key exchange's policies: the commuting subgroup the privates come
   from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
   s from `first_private` on), `default_base()` and `usable_base(w)`;
@@ -17,8 +17,7 @@ normal form, so element equality compares fields.  Every group answers:
   is all the attack needs to know of a platform.
 
 Every element answers `*`, `inverse()`, `conjugate_by(x)`,
-`canonical()`, `is_central()`, `is_identity()`, powers and
-`commutes_with(h)`.
+`canonical()` and `is_central()`.
 
 Elements are built only through their group.  The checked constructors
 are the p-groups' `element(*exponents)`, which takes one int per
@@ -29,11 +28,12 @@ is in range by construction does; an element class refuses a call.
 
 The group classes derive from `Group`, which gives them ownership
 checks, equality and hashing over their parameter tuple, and the
-conjugacy class as a closure under generator conjugation.  The element
-classes derive from `Element`, which gives all three of them
-immutability, the operand check, powers, commutation, and equality and
-hash over their value fields (`_value`).  Each platform writes its own
-`__mul__`, `inverse` and `conjugate_by`: they are the hot paths.
+conjugacy class as a closure under generator conjugation, the one class
+route of every platform.  The element classes derive from `Element`,
+which gives all three of them immutability, the operand check, and
+equality and hash over their value fields (`_value`).  Each platform
+writes its own `__mul__`, `inverse` and `conjugate_by`, the hot paths,
+and its own `index`.
 
 The two p-group platforms share more.  `PGroup` holds their parameters
 (refusing a p^m or p^n too long to print), checked constructor, normal
@@ -187,21 +187,6 @@ class Element:
         if self.group is not other.group and self.group != other.group:
             raise self.group._mismatch(other.group)
 
-    def __pow__(self, exp: int):
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        out = self.group.identity()
-        sq = self
-        while exp:
-            if exp & 1:
-                out = out * sq
-            sq = sq * sq
-            exp >>= 1
-        return out
-
-    def commutes_with(self, other) -> bool:
-        return self * other == other * self
-
 
 def mutable_twin(element_class) -> type:
     """A class with `element_class`'s base and slots and plain attribute
@@ -235,10 +220,10 @@ class PGroup(Group):
     A subclass sets `kind`, `prefix` (of its canonical strings),
     `min_m`, its `element_class` and that class's `_make` (see
     `PElement`), which defaults the exponents after j to 0, and writes
-    `_conjugates(w)`, the p members of a non-central w's class in
-    closed form, and `_shift(w, w_x)`: the steps of the one exponent
-    that conjugation by a b-power moves, from w to w_x, or None when
-    w_x differs from w elsewhere or by part of a step.
+    `index(g)`, the mixed-radix value of g's exponents, and `_shift(w,
+    w_x)`: the steps of the one exponent that conjugation by a b-power
+    moves, from w to w_x, or None when w_x differs from w elsewhere or
+    by part of a step.
     """
 
     param_names = ("p", "m", "n")
@@ -297,14 +282,6 @@ class PGroup(Group):
         if self.order > ENUMERATION_CAP:
             raise TooLargeError(f"|G| = {self.p}^{self.log_order} is beyond enumeration")
         return starmap(self._make, product((self,), *map(range, self.moduli)))
-
-    def conjugacy_class(self, w) -> frozenset:
-        """Closed form: a central w is a singleton class, and any other
-        w has the p conjugates `_conjugates(w)`."""
-        self._own(w)
-        if w.is_central():
-            return frozenset({w})
-        return frozenset(self._conjugates(w))
 
     def center_order(self) -> int:
         return self.order // self.p ** 2
@@ -375,9 +352,6 @@ class PElement(Element):
     def is_central(self) -> bool:
         p = self.group.p
         return self.i % p == 0 and self.j % p == 0
-
-    def is_identity(self) -> bool:
-        return self == self.group.identity()
 
     def __repr__(self) -> str:
         G = self.group

@@ -71,12 +71,28 @@ def bsgs_break(w, w_x, w_y) -> AttackReport:
 
 def orbit_stats(group) -> dict[int, int]:
     """Histogram {class size: number of classes} over the whole group,
-    which `group.elements()` refuses past `core.ENUMERATION_CAP`."""
-    seen = set()
+    which `group.elements()` refuses past `core.ENUMERATION_CAP` before
+    anything is allocated.
+
+    One sweep of the enumeration, with a visited byte per element at its
+    `group.index`: each unvisited element's class is closed under
+    `conjugate_by` every generator, since a set closed under conjugation
+    by each generator of a finite group is a conjugacy class.
+    """
+    elements = group.elements()
+    index, generators = group.index, group.generator_elements()
+    visited = bytearray(group.order)
     histogram: dict[int, int] = {}
-    for g in group.elements():
-        if g not in seen:
-            cls = group.conjugacy_class(g)
-            seen.update(cls)
+    for position, g in enumerate(elements):
+        if not visited[position]:
+            visited[position] = 1
+            cls = [g]
+            for h in cls:  # grows as the closure finds new members
+                for x in generators:
+                    conj = h.conjugate_by(x)
+                    at = index(conj)
+                    if not visited[at]:
+                        visited[at] = 1
+                        cls.append(conj)
             histogram[len(cls)] = histogram.get(len(cls), 0) + 1
     return histogram

@@ -10,7 +10,7 @@ p^(m+n+1).  Normal form is a^i b^j c^k, and the commutator of any two
 elements lands in the central <c>, so conjugation only ever shifts the
 c-exponent.  The shared `core.PGroup` gives the checked constructor
 `element(i, j, k)` and `core.PElement` the text form, equality and
-hash; this module writes the multiplication law.
+hash; this module writes the multiplication law and the element index.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ class HeisenbergGroup(PGroup):
     def c(self, k: int = 1) -> HeisenbergElement:
         return _make(self, 0, 0, k % self.p)
 
-    def _conjugates(self, w: HeisenbergElement):
-        # Conjugation sweeps the c-exponent over Z_p.
-        return (_make(self, w.i, w.j, k) for k in range(self.p))
+    def index(self, g: HeisenbergElement) -> int:
+        """g's position in `elements()`: (i*p^n + j)*p + k."""
+        if g.group is not self:
+            self._own(g)
+        return (g.i * self.pn + g.j) * self.p + g.k
 
     def _shift(self, w: HeisenbergElement, w_x: HeisenbergElement) -> int | None:
         # Conjugation by b^s moves the c-exponent by i*s and keeps i and j.

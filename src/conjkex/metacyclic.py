@@ -9,13 +9,16 @@ below 10^4300.  Every element has the unique normal form a^i b^j with
 0 <= i < p^m, 0 <= j < p^n, so equality is componentwise.  The shared
 `core.PGroup` gives the checked constructor `element(i, j)` and
 `core.PElement` the text form, equality and hash; this module writes
-the multiplication law.  `MetaElement.conjugate_by(x)`
-computes x w x^-1 in closed form: for x = a^u b^v and w = a^i b^j it is
-a^(u + i*twist^v - u*twist^j) b^j, one element built with no product
-or inverse.  Conjugating a^i by b^v thus multiplies i by twist^v, which
-is what makes the platform efficient: since m >= 2, every twist power
-is the closed form twist^s = 1 + (s mod p)*p^(m-1) (mod p^m), so no
-operation takes a modular power or keeps a table of them.
+the multiplication law and the element index.
+`MetaElement.conjugate_by(x)` computes x w x^-1 in closed form: for
+x = a^u b^v and w = a^i b^j it is a^(u + i*twist^v - u*twist^j) b^j,
+one element built with no product or inverse.  Conjugating a^i by b^v
+thus multiplies i by twist^v, which is what makes the platform
+efficient: since m >= 2, every twist power is the closed form
+twist^s = 1 + (s mod p)*p^(m-1) (mod p^m), so no operation takes a
+modular power or keeps a table of them.  The twist has order exactly p:
+(1 + p^(m-1))^p = 1 (mod p^m) by the same binomial expansion, and
+1 + p^(m-1) is not 1 mod p^m.
 """
 
 from __future__ import annotations
@@ -87,16 +90,12 @@ class MetacyclicGroup(PGroup):
         super().__init__(p, m, n)
         self.step = p ** (m - 1)
         self.twist = 1 + self.step
-        # Construction-time sanity: the twist generates an automorphism of
-        # a-exponents of multiplicative order exactly p.
-        if pow(self.twist, p, self.pm) != 1 or self.twist % self.pm == 1:
-            raise ValueError("twist exponent does not have order p")
 
-    # The closed form of `_shift`, below p^m and equal to twist^j for
-    # every integer j (twist has order p, so twist^-j is twist^(p-j)).
-    # The element operations write it inline.
-    def twist_pow(self, j: int) -> int:
-        return 1 + j % self.p * self.step
+    def index(self, g: MetaElement) -> int:
+        """g's position in `elements()`: i*p^n + j."""
+        if g.group is not self:
+            self._own(g)
+        return g.i * self.pn + g.j
 
     def _shift(self, w: MetaElement, w_x: MetaElement) -> int | None:
         """Steps of p^(m-1) from w.i to w_x.i.  Since m >= 2,
@@ -106,13 +105,6 @@ class MetacyclicGroup(PGroup):
         i by i*s*p^(m-1) and keeps j."""
         shift, rest = divmod(w_x.i - w.i, self.step)
         return None if rest or w_x.j != w.j else shift
-
-    def _conjugates(self, w: MetaElement):
-        # Conjugation by b and by a shifts i by i*p^(m-1) and by
-        # -j*p^(m-1); i or j is a unit mod p when w is not central, so
-        # the shifts reach every multiple of p^(m-1).
-        step = self.step
-        return (_make(self, (w.i + s * step) % self.pm, w.j) for s in range(self.p))
 
 
 # Interned group instances, so parsed elements share one group and pass

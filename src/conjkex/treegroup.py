@@ -118,6 +118,8 @@ class TreeSylowGroup(Group):
         packed = 0
         for level, mask in masks.items():
             self._check_level(level)
+            if not isinstance(mask, int):
+                raise TypeError(f"mask for level {level} must be an int, not {type(mask).__name__}")
             width = 1 << level
             if mask >> width:
                 raise ValueError(
@@ -132,11 +134,15 @@ class TreeSylowGroup(Group):
         return self.from_level_masks({level: 1 << pos})
 
     def _check_level(self, level: int) -> None:
+        if not isinstance(level, int):
+            raise TypeError(f"level must be an int, not {type(level).__name__}")
         if not 0 <= level < self.k:
             raise LevelOutOfRangeError(f"level {level} outside [0, {self.k})")
 
     def _check_vertex(self, level: int, pos: int) -> None:
         self._check_level(level)
+        if not isinstance(pos, int):
+            raise TypeError(f"position must be an int, not {type(pos).__name__}")
         if not 0 <= pos < 1 << level:
             raise ValueError(f"position {pos} outside [0, {1 << level})")
 
@@ -203,6 +209,12 @@ class TreeSylowGroup(Group):
         if self.order > ENUMERATION_CAP:
             raise DepthTooLargeError(f"|G| = 2^{self.log_order} is beyond enumeration")
         return map(_make, repeat(self), range(self.order))
+
+    def index(self, g: "Portrait") -> int:
+        """g's position in `elements()`: its packed labels."""
+        if g.group is not self:
+            self._own(g)
+        return g.packed
 
     def level_subgroup(self, level: int) -> list["Portrait"]:
         """All portraits supported on one level: an elementary abelian
@@ -428,9 +440,6 @@ class Portrait(Element):
         # level contributes an even number of them.  The bottom level is
         # the low 2^(k-1) bits.
         return (self.packed & self.group._bottom).bit_count() % 2 == 0
-
-    def is_identity(self) -> bool:
-        return self.packed == 0
 
     def is_central(self) -> bool:
         """Closed form: the centre of the Sylow 2-subgroup has order 2

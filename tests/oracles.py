@@ -18,6 +18,15 @@ def conjugate_via_products(w, x):
     return x.inverse() * w * x
 
 
+def power(g, e: int):
+    """g^e by |e| repeated products: of g, or of g^-1 when e < 0."""
+    factor = g if e >= 0 else g.inverse()
+    out = g.group.identity()
+    for _ in range(abs(e)):
+        out = out * factor
+    return out
+
+
 def brute_conjugacy(w, w_pub, max_iter: int) -> int:
     """Scan the designated commuting subgroup for the least conjugator
     index s with conjugate(w, subgroup[s]) = w_pub."""

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,8 @@ def test_orbit_stats_examples():
     assert orbit_stats(metacyclic_group(3, 2, 1)) == {1: 3, 3: 8}
     assert orbit_stats(heisenberg_group(3, 1, 1)) == {1: 3, 3: 8}
     assert orbit_stats(tree_group(1)) == {1: 2}  # abelian: singletons only
+    # The histogram of the set-and-frozenset route this sweep replaced.
+    assert orbit_stats(tree_group(3)) == {1: 2, 2: 1, 4: 9, 8: 5, 16: 3}
 
 
 # ------------------------------------------------------------- properties
@@ -162,9 +165,37 @@ def test_histogram_class_equation():
         assert histogram[1] == group.center_order()
 
 
+def traced_peak(run) -> int:
+    """Peak bytes that `run()` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_orbit_stats_cap():
-    with pytest.raises(TooLargeError):
-        orbit_stats(metacyclic_group(1009, 2, 2))
+    # A visited byte per element would be 2^(2^20 - 1) bytes on the tree
+    # and about 10^12 on the p-group; elements() refuses first (a peak of
+    # about 1 KB here).
+    for group in (tree_group(20), metacyclic_group(1009, 2, 2)):
+        def run():
+            with pytest.raises(TooLargeError, match="is beyond enumeration$"):
+                orbit_stats(group)
+
+        assert traced_peak(run) < 1 << 16
+
+
+def test_orbit_stats_keeps_no_element_set():
+    # 3,125 elements: one visited byte each, and a frontier of at most one
+    # class.  Measured with tracemalloc (CPython 3.11): a peak of 5,562
+    # bytes, where a set of every element plus a frozenset per class took
+    # 336,808.
+    group = metacyclic_group(5, 3, 2)
+    histogram = {}
+    assert traced_peak(lambda: histogram.update(orbit_stats(group))) < 1 << 16
+    assert histogram == {1: 125, 5: 600}
 
 
 def test_attack_report_serialization():

@@ -27,7 +27,7 @@ from conjkex.metacyclic import parse_canonical as parse_metacyclic
 from conjkex.rng import SplitMix64
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
 from conjkex.treegroup import parse_canonical as parse_tree
-from oracles import conjugate_via_products
+from oracles import conjugate_via_products, power
 
 EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 
@@ -84,13 +84,16 @@ def test_group_methods_accept_elements_of_an_equal_group():
     # One ownership rule: what `*` accepts, the group's own methods accept.
     G, fresh = metacyclic_group(3, 2, 2), MetacyclicGroup(3, 2, 2)
     assert G.conjugacy_class(fresh.a()) == G.conjugacy_class(G.a())
+    assert G.index(fresh.b()) == G.index(G.b()) == 1
     H, fresh_h = heisenberg_group(3, 1, 1), HeisenbergGroup(3, 1, 1)
     assert H.conjugacy_class(fresh_h.a()) == H.conjugacy_class(H.a())
+    assert H.index(fresh_h.c()) == H.index(H.c()) == 1
     T, fresh_t = tree_group(3), TreeSylowGroup(3)
     subgroup = T.closure([fresh_t.single(1, 0)])
     assert subgroup.order == T.closure([T.single(1, 0)]).order == 2
     assert fresh_t.single(1, 0) in subgroup and fresh_t.single(0, 0) not in subgroup
     assert T.conjugacy_class(fresh_t.single(2, 0)) == T.conjugacy_class(T.single(2, 0))
+    assert T.index(fresh_t.from_packed(5)) == T.index(T.from_packed(5)) == 5
     derived = T.derived_subgroup(fresh_t.generator_elements())
     assert derived.order == T.derived_subgroup(T.generator_elements()).order == 2 ** 4
 
@@ -103,8 +106,13 @@ def test_group_methods_accept_elements_of_an_equal_group():
     lambda: tree_group(3).closure([metacyclic_group(3, 2, 2).a()]),
     lambda: tree_group(3).single(1, 0) in tree_group(4).closure([tree_group(4).single(1, 0)]),
     lambda: tree_group(3).conjugacy_class(tree_group(2).single(1, 0)),
+    lambda: metacyclic_group(3, 2, 2).index(metacyclic_group(3, 2, 3).a()),
+    lambda: heisenberg_group(3, 1, 1).index(HeisenbergGroup(5, 1, 1).a()),
+    lambda: tree_group(3).index(tree_group(2).single(1, 0)),
+    lambda: tree_group(3).index(metacyclic_group(3, 2, 2).a()),
 ], ids=["mc-params", "mc-platform", "mm-params", "tree-depth", "tree-platform",
-        "tree-contains", "tree-class"])
+        "tree-contains", "tree-class", "mc-index", "mm-index", "tree-index",
+        "tree-index-platform"])
 def test_group_methods_refuse_elements_of_other_groups(refuse):
     with pytest.raises(ParamMismatchError, match="different group"):
         refuse()
@@ -195,7 +203,7 @@ def test_metacyclic_results_match_public_constructor(params, i1, j1, i2, j2):
         assert 0 <= got.i < G.pm and 0 <= got.j < G.pn
         assert got.group is G
         assert_immutable(got, "group", "i", "j")
-    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+    assert g * g.inverse() == G.identity() == g.inverse() * g
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,7 +224,7 @@ def test_heisenberg_results_match_public_constructor(params, i1, j1, k1, i2, j2,
         assert 0 <= got.i < G.pm and 0 <= got.j < G.pn and 0 <= got.k < G.p
         assert got.group is G
         assert_immutable(got, "group", "i", "j", "k")
-    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+    assert g * g.inverse() == G.identity() == g.inverse() * g
 
 
 @st.composite
@@ -241,7 +249,7 @@ def test_tree_results_match_public_constructor(data, k):
         assert_immutable(got, "group", "packed", "_masks")
     assert (g * h).to_permutation() == compose_perms(pg, ph)
     assert compose_perms(g.inverse().to_permutation(), pg) == tuple(range(G.leaves))
-    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+    assert g * g.inverse() == G.identity() == g.inverse() * g
 
 
 # ------------------------------------------------------------- the contract
@@ -280,6 +288,13 @@ def test_every_platform_answers_the_contract(g):
                     G.private_log(w, h)
 
 
+@pytest.mark.parametrize("G", [
+    metacyclic_group(3, 2, 2), heisenberg_group(3, 1, 2), tree_group(1), tree_group(2), tree_group(3),
+], ids=["metacyclic", "heisenberg", "tree-1", "tree-2", "tree-3"])
+def test_index_is_the_position_in_elements(G):
+    assert [G.index(g) for g in G.elements()] == list(range(G.order))
+
+
 # ------------------------------------------------------ the shared element base
 
 @pytest.mark.parametrize("g,h", [
@@ -289,16 +304,11 @@ def test_every_platform_answers_the_contract(g):
 ], ids=["metacyclic", "heisenberg", "tree"])
 def test_shared_base_powers_commutation_and_immutability(g, h):
     G = g.group
-    power = G.identity()
-    for e in range(6):
-        assert g ** e == power
-        power = power * g
-    power = G.identity()
     for e in range(1, 4):
-        power = power * g.inverse()
-        assert g ** -e == power
-    assert g.commutes_with(g ** 3) and g.commutes_with(G.identity())
-    assert not g.commutes_with(h) and g * h != h * g
+        assert power(g, -e) == power(g, e).inverse()
+        assert g * power(g, e) == power(g, e) * g
+    assert g * G.identity() == g == G.identity() * g
+    assert g * h != h * g
     with pytest.raises(AttributeError, match="is immutable"):
         g.group = G
     with pytest.raises(AttributeError):
@@ -374,7 +384,7 @@ def test_pgroup_generators_are_a_minimal_generating_set(factory, p, m, n):
     assert G.generator_elements() == [G.a(), G.b()]
     a, b = G.generator_elements()
     # G is not abelian, so not cyclic: no single element generates it.
-    assert not a.commutes_with(b)
+    assert a * b != b * a
     span = frontier = {G.identity()}
     while frontier:
         frontier = {x * g for x in frontier for g in (a, b)} - span
@@ -463,6 +473,24 @@ def test_tree_from_packed_refuses_non_ints(bad):
         tree_group(3).from_packed(bad)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda T: T.from_level_masks({2: 1.5}), "mask for level 2 must be an int, not float"),
+    (lambda T: T.from_level_masks({1.0: 1}), "level must be an int, not float"),
+    (lambda T: T.single(1, 0.0), "position must be an int, not float"),
+    (lambda T: T.identity().bit(1, 0.0), "position must be an int, not float"),
+], ids=["mask", "level", "single-position", "bit-position"])
+def test_tree_refuses_non_int_levels_positions_and_masks(build, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build(tree_group(3))
+
+
+def test_tree_levels_positions_and_masks_take_bools_as_ints():
+    T = tree_group(3)
+    g = T.from_level_masks({True: True})
+    assert g == T.single(True, False) == T.single(1, 0) and type(g.packed) is int
+    assert g.bit(True, False) == 1 and g.level_mask(True) == 1
+
+
 def test_tree_refuses_negative_input_as_negative():
     T = tree_group(3)
     for refuse in (lambda: T.from_packed(-1), lambda: T.from_packed(-(1 << 70))):
@@ -482,7 +510,7 @@ def test_tree_from_packed_takes_bools_as_ints():
     T = tree_group(3)
     g = T.from_packed(True)
     assert g == T.from_packed(1) and type(g.packed) is int
-    assert g.canonical() == "tg:k=3;bits=1" and T.from_packed(False).is_identity()
+    assert g.canonical() == "tg:k=3;bits=1" and T.from_packed(False) == T.identity()
 
 
 @PGROUP_PLATFORMS

@@ -10,6 +10,7 @@ from conjkex.cryptanalysis import bsgs_break
 from conjkex.errors import NoSolutionError, ParamMismatchError, ParseError
 from conjkex.kex import run_demo
 from conjkex.metacyclic import MetaElement, MetacyclicGroup, metacyclic_group, parse_canonical
+from oracles import power
 
 
 def rewrite_multiply(g, h):
@@ -144,14 +145,12 @@ def test_demo_near_the_size_limit_keeps_memory_small():
 def test_power_examples():
     G = metacyclic_group(3, 2, 2)
     g = G.element(2, 1)
-    assert g ** 0 == G.identity()
-    assert G.a(1) ** 9 == G.identity()
-    assert G.b(1) ** 3 == G.b(3) != G.identity()
-    acc = G.identity()
-    for e in range(1, 12):
-        acc = acc * g
-        assert g ** e == acc
-    assert g ** -1 == g.inverse()
+    assert power(g, 0) == G.identity()
+    assert power(G.a(1), 9) == G.identity() != power(G.a(1), 3)
+    assert power(G.b(1), 3) == G.b(3) != G.identity()
+    assert power(g, 9) == G.identity() and power(g, -1) == g.inverse()
+    # (a^2 b)^2 = a^2 (b a^2 b^-1) b^2 = a^(2 + 2*twist) b^2.
+    assert power(g, 2) == G.element(2 + 2 * G.twist, 2)
 
 
 def test_center_examples():
@@ -181,21 +180,31 @@ def twist_log(G, u):
     return G.private_log(G.a(1), G.a(u))
 
 
+def assert_twist_power(G, s):
+    """b^s a b^-s = a^(twist^s), by the product and by `conjugate_by`
+    (which writes the closed form 1 + (s mod p)*p^(m-1) inline),
+    against plain modular exponentiation."""
+    a, b_s = G.a(1), G.b(s)
+    twisted = G.a(pow(G.twist, s, G.pm))
+    assert b_s * a == twisted * b_s
+    assert a.conjugate_by(b_s) == twisted
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (7, 4), (101, 2), (1009, 3)])
 def test_twist_log_inverts_twist_pow(p, m):
     G = metacyclic_group(p, m, 1)
     for s in range(p):
-        assert twist_log(G, G.twist_pow(s)) == s
+        assert twist_log(G, pow(G.twist, s, G.pm)) == s
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 7), (5, 3), (7, 4), (101, 2), (1009, 3)])
 def test_twist_table_matches_modular_powers(p, m):
-    # The table of twist_pow(s), the closed form 1 + (s mod p)*p^(m-1),
-    # over two whole cycles of negative and positive s, against plain
-    # modular exponentiation.
+    # Over two whole cycles of negative and positive s: the twist has
+    # order exactly p, so b^p is the first b-power that fixes a.
     G = metacyclic_group(p, m, 1)
     for s in range(-2 * p, 2 * p):
-        assert G.twist_pow(s) == pow(G.twist, s, G.pm)
+        assert_twist_power(G, s)
+    assert pow(G.twist, p, G.pm) == 1 != G.twist % G.pm
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 2**61 - 1, 2**127 - 1])
@@ -210,7 +219,7 @@ def test_twist_pow_matches_modular_powers_large_p(p, m):
     exponents += [rng.randrange(-G.pn * p, G.pn * p) for _ in range(20)]
     exponents += [rng.randrange(G.pn, G.pn * p) for _ in range(10)]
     for s in exponents:
-        assert G.twist_pow(s) == pow(G.twist, s, G.pm)
+        assert_twist_power(G, s)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -316,7 +325,7 @@ def test_center_set_equals_generated_subgroup():
         by_commutation = {
             g
             for g in G.elements()
-            if all(g.commutes_with(x) for x in G.generator_elements())
+            if all(g * x == x * g for x in G.generator_elements())
         }
         assert by_commutation == set(G.center_elements())
         assert by_commutation == {g for g in G.elements() if g.is_central()}
