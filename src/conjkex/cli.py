@@ -175,11 +175,7 @@ def _decimal(power_of_two: int) -> str:
     than 4300 digits (Python's int-to-str limit), which the tree orders
     pass from k = 14.  decimal's exact power has no such limit, and at
     k = 20 it takes 14 ms where converting the int takes a second."""
-    # Imported here: only `tree` needs it, and it adds about 2 ms and
-    # 0.3 MB to the start of every subcommand.
-    import decimal
-
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    exact = cryptanalysis.exact_decimal()
     return str(exact.power(2, power_of_two.bit_length() - 1))
 
 

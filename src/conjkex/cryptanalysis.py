@@ -16,8 +16,47 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .core import _TEXT_BOUND
 from .errors import PlatformMismatchError
+
+
+@lru_cache(maxsize=None)
+def exact_decimal():
+    """The one exact `decimal.Context` (every digit kept, no exponent
+    limit in reach).  decimal is imported on first use: only a tree's
+    large numbers need it, and it adds about 2 ms and 0.3 MB to the
+    start of every subcommand."""
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+def decimal_text(x: int) -> str:
+    """The decimal digits of a non-negative int of any size, the same
+    string as `str(Decimal(x))`.
+
+    `str` refuses ints of more than 4300 digits (Python's int-to-str
+    limit), which a tree mask passes from k = 16; `Decimal(x)` converts
+    in quadratic time.  So a large x is split at a power of two,
+    x = hi * 2^h + lo, each half converted the same way down to that
+    limit, and the two recombined with decimal's exact (subquadratic)
+    multiply and add."""
+    if x < _TEXT_BOUND:
+        return str(x)
+    ctx = exact_decimal()
+    powers = {}
+
+    def convert(y):
+        if y < _TEXT_BOUND:
+            return ctx.create_decimal(y)
+        h = 1 << ((y.bit_length() - 1).bit_length() - 1)
+        if h not in powers:
+            powers[h] = ctx.power(2, h)
+        return ctx.add(ctx.multiply(convert(y >> h), powers[h]), convert(y & ((1 << h) - 1)))
+
+    return str(convert(x))
 
 
 @dataclass
@@ -30,12 +69,10 @@ class AttackReport:
     wall_ms: float
 
     def to_json(self) -> str:
-        from decimal import Decimal  # str() refuses a tree mask of 4300+ digits
-
         return json.dumps(
             {
                 "recovered_key": self.recovered_key.decode("ascii"),
-                "exponent": str(Decimal(self.exponent)),
+                "exponent": decimal_text(self.exponent),
                 "group_ops": str(self.group_ops),
                 "wall_ms": round(self.wall_ms, 3),
             },

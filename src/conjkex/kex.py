@@ -24,17 +24,22 @@ This module states no platform policy; each group class states its own
 A `Session` is one party: it draws its private when it is built, from
 its own seed, and then only publishes and derives.
 
-Wire format: newline-delimited JSON messages with lowercase keys and no
-extra whitespace; integers travel as minimal decimal strings, elements
-as their canonical text forms.  A reader looks each message up by its
-type (and, for a public value, its sender) and refuses a transcript in
-which that message is missing or repeated.
+Wire format: newline-delimited JSON objects of strings, on both sides:
+keys and values are strings when written and a reader refuses any other
+line.  Keys are lowercase; integers travel as minimal decimal strings,
+elements as their canonical text forms.  Each line is written with
+json's ASCII string quoter on every key and value, the same bytes as
+compact `json.dumps` (no extra whitespace, non-ASCII escaped).  A
+reader looks each message up by its type (and, for a public value, its
+sender) and refuses a transcript in which that message is missing or
+repeated.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import heisenberg, metacyclic, treegroup
 from .errors import ParseError, PlatformMismatchError, TranscriptError
@@ -102,7 +107,12 @@ class Session:
 
 
 def _dump(message: dict) -> str:
-    return json.dumps(message, separators=(",", ":"))
+    """One transcript line.  On an object of strings, compact `json.dumps`
+    quotes every key and value with json's ASCII string quoter, so this
+    writes the same bytes without building a `JSONEncoder` per line.  A
+    non-string raises TypeError instead of writing a line that
+    `from_text` would refuse."""
+    return "{" + ",".join([_quote(k) + ":" + _quote(v) for k, v in message.items()]) + "}"
 
 
 @dataclass

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
-from conjkex.cryptanalysis import bsgs_break, orbit_stats
+from conjkex.cryptanalysis import bsgs_break, decimal_text, orbit_stats
 from conjkex.errors import NoSolutionError, PlatformMismatchError, TooLargeError
 from conjkex.heisenberg import heisenberg_group
 from conjkex.kex import Session, run_demo
@@ -206,3 +209,31 @@ def test_attack_report_serialization():
     assert data["exponent"] == "2"
     assert data["recovered_key"] == "mc:p=3;m=2;n=2;i=1;j=0"
     assert int(data["group_ops"]) == report.group_ops
+
+
+# 0 and 1 bit, both sides of the 4300-digit int-to-str limit, and masks
+# of 2^16 and 2^18 bits, which are converted by halves.
+@pytest.mark.parametrize("x", [
+    0,
+    1,
+    10 ** 4300 - 1,
+    10 ** 4300,
+    random.Random(16).getrandbits(1 << 16) | 1 << ((1 << 16) - 1),
+    random.Random(18).getrandbits(1 << 18) | 1 << ((1 << 18) - 1),
+], ids=["0", "1-bit", "4300-digits", "4301-digits", "2^16-bits", "2^18-bits"])
+def test_decimal_text_equals_str_of_decimal(x):
+    assert decimal_text(x) == str(Decimal(x))
+
+
+def test_a_metacyclic_attack_report_imports_no_decimal():
+    code = (
+        "import sys\n"
+        "from conjkex.cryptanalysis import bsgs_break\n"
+        "from conjkex.kex import run_demo\n"
+        "from conjkex.metacyclic import metacyclic_group\n"
+        "t = run_demo(metacyclic_group(1000003, 2, 2).default_base(), 1, 2).transcript\n"
+        "print(bsgs_break(t.base_element(), t.public_from('alice'), t.public_from('bob')).to_json())\n"
+        "assert 'decimal' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -231,14 +231,29 @@ def test_transcript_refuses_a_repeated_message(marker, lookup):
         lookup(Transcript.from_text(text + line + "\n"))
 
 
-def test_transcript_roundtrip():
-    result = run_demo(tree_group(3).default_base(), 3, 4, debug_key=True)
+ROUNDTRIP_PRIMES = {"1009": 1009, "2^127-1": 2 ** 127 - 1}
+ROUNDTRIP_GROUPS = {
+    **{f"metacyclic-{name}": metacyclic_group(p, 2, 2) for name, p in ROUNDTRIP_PRIMES.items()},
+    **{f"heisenberg-{name}": heisenberg_group(p, 2, 2) for name, p in ROUNDTRIP_PRIMES.items()},
+    **{f"tree-{k}": tree_group(k) for k in (3, 4, 14)},
+}
+
+
+@pytest.mark.parametrize("group", ROUNDTRIP_GROUPS.values(), ids=ROUNDTRIP_GROUPS)
+def test_transcript_roundtrip(group):
+    base = group.default_base()
+    result = run_demo(base, 3, 4, debug_key=True)
     text = result.transcript.to_text()
     parsed = Transcript.from_text(text)
     assert parsed.to_text() == text
-    assert parsed.base_element().group.kind == "tree"
-    assert parsed.base_element() == tree_group(3).default_base()
+    assert parsed.base_element().group == group
+    assert parsed.base_element() == base
     assert parsed.debug_key() == result.key_alice
+
+
+def test_empty_transcript_roundtrip():
+    assert Transcript().to_text() == ""
+    assert Transcript.from_text("").to_text() == ""
 
 
 # -------------------------------------------------------------- agreement

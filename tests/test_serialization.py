@@ -1,12 +1,16 @@
-"""Round-trip and strictness checks for the canonical element grammars."""
+"""Round-trip and strictness checks for the canonical element grammars
+and the transcript line writer."""
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conjkex.errors import ParseError
 from conjkex.heisenberg import heisenberg_group
-from conjkex.kex import parse_element
+from conjkex.kex import Transcript, _dump, parse_element
 from conjkex.metacyclic import metacyclic_group
 from conjkex.treegroup import tree_group
 
@@ -92,3 +96,31 @@ def test_ascii_only_and_no_whitespace():
 def test_strict_grammar_rejections(bad):
     with pytest.raises(ParseError):
         parse_element(bad)
+
+
+# ------------------------------------------------------- transcript lines
+
+# Every code point, lone surrogates included; quotes, backslashes,
+# control, non-ASCII, astral and surrogate characters are drawn more often.
+WIRE_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\u2028\ufeff\ud800\udfff\U0001f600'),
+))
+
+
+@given(st.dictionaries(WIRE_TEXT, WIRE_TEXT))
+@example({})
+@example({"type": "public", "from": "alice", "value": "mc:p=3;m=2;n=2;i=1;j=0"})
+@example({'"\\': "\x00\x1f\u00e9\U0001f600\ud800", "": "\udfff"})
+def test_dump_is_compact_json_dumps(message):
+    line = _dump(message)
+    assert line == json.dumps(message, separators=(",", ":"))
+    assert line.isascii()
+
+
+@pytest.mark.parametrize("value", [5, None, b"bytes", ["list"], 1.5])
+def test_a_non_string_value_is_refused_when_written(value):
+    transcript = Transcript()
+    transcript.add(type="params", w=value)
+    with pytest.raises(TypeError):
+        transcript.to_text()
