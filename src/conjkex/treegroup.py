@@ -58,7 +58,7 @@ from .errors import (
 _CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
-MAX_SUBGROUP_DEPTH = 8  # Subgroup only: G' and Phi(G') take about 1.5-1.7 s at k = 8
+MAX_SUBGROUP_DEPTH = 8  # Subgroup only: G' and Phi(G') take about 0.3 s at k = 8 in-process
 
 
 class TreeSylowGroup(Group):
@@ -271,7 +271,10 @@ class TreeSylowGroup(Group):
     def minimal_generating_size_brute(self, elements: Collection["Portrait"]) -> int:
         """Independent check: the smallest subset that generates the
         input, each subset closed by a plain product worklist.  An input
-        that no subset generates exactly is not a group: NotAGroupError."""
+        that no subset generates exactly is not a group: NotAGroupError.
+
+        The subset element is each product's left factor, the one whose
+        masks a product builds: the subset's build them once."""
         group = set(elements)
         if group == {self.identity()}:
             return 0
@@ -280,7 +283,7 @@ class TreeSylowGroup(Group):
             for subset in combinations(candidates, size):
                 span = frontier = {self.identity()}
                 while frontier:
-                    frontier = {x * g for x in frontier for g in subset} - span
+                    frontier = {g * x for x in frontier for g in subset} - span
                     span = span | frontier
                 if span == group:
                     return size
@@ -524,14 +527,19 @@ class Subgroup:
     lies in H iff it sifts to the identity.  Cost: |basis| * (|basis| + |normalisers|)
     commutators of three products each, plus their sifts, where an
     enumerated closure takes |H| * |gens| products.
+
+    A product builds swap masks only for its left factor, so every
+    product here has a stored portrait (a basis element, a normaliser or
+    an inverse of one) on the left: each builds its masks once.
     """
 
-    __slots__ = ("group", "_basis")
+    __slots__ = ("group", "_basis", "_normalisers")
 
     def __init__(self, group: TreeSylowGroup, seeds: Iterable[Portrait], normalisers: list):
         """<seeds>, normalised by s for each (s, s^-1) in `normalisers`."""
         self.group = group
         self._basis = basis = {}
+        self._normalisers = normalisers
         queue = list(seeds)
         while queue:
             r = self.sift(queue.pop())
@@ -561,11 +569,14 @@ class Subgroup:
         return not self.sift(g).packed
 
     def frattini(self) -> "Subgroup":
-        """Phi(H): the normal closure in H of the squares and commutators
-        of the basis."""
+        """Phi(H): the normal closure of the squares and commutators of the
+        basis in L, the group that H's normalisers generate, or in H for a
+        plain closure, which has none.  H's seeds lie in L and H is normal
+        there, so Phi(H), characteristic in H, is normal in L too; for G'
+        that is k normalisers in place of 2^k - k - 2 basis elements."""
         pairs = list(self._basis.values())
         seeds = [r * r for r, _ in pairs] + [_commutator(x, y) for x, y in combinations(pairs, 2)]
-        return Subgroup(self.group, seeds, pairs)
+        return Subgroup(self.group, seeds, self._normalisers or pairs)
 
     def elements(self) -> frozenset:
         if self.order > ENUMERATION_CAP:
@@ -577,8 +588,10 @@ class Subgroup:
 
 
 def _commutator(x: tuple[Portrait, Portrait], y: tuple[Portrait, Portrait]) -> Portrait:
-    """[x, y] from (element, inverse) pairs, in three products."""
-    return x[1] * y[1] * x[0] * y[0]
+    """[x, y] from (element, inverse) pairs, in three products: x^-1 (y^-1
+    (x y)), the public `commutator`'s value with a stored factor on the
+    left of each product, so no intermediate builds masks."""
+    return x[1] * (y[1] * (x[0] * y[0]))
 
 
 def parse_canonical(text: str) -> Portrait:

@@ -256,7 +256,7 @@ def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> list[ClaimRe
         if k >= 4 and not long:
             continue
         started = time.perf_counter()
-        derived = group.derived_subgroup(group.even_generators())
+        derived = group.derived_subgroup(gens)
         results.append(
             _claim(
                 "sylow.derived-order",

@@ -2,10 +2,14 @@
 
 They use nothing but the element contract (products, inverses,
 conjugation and the group's commuting subgroup), so they stay
-independent of each platform's closed forms.
+independent of each platform's closed forms.  `frattini_by_basis` is
+the tree subgroup engine's Phi(H) with H's whole basis as normalisers.
 """
 
+from itertools import combinations
+
 from conjkex.errors import ConjKexError
+from conjkex.treegroup import Subgroup, commutator
 
 
 class NotInOrbitError(ConjKexError):
@@ -36,3 +40,11 @@ def brute_conjugacy(w, w_pub, max_iter: int) -> int:
         if w.conjugate_by(group.commuting_conjugator(s)) == w_pub:
             return s
     raise NotInOrbitError(f"no conjugator found within {max_iter} steps")
+
+
+def frattini_by_basis(H):
+    """Phi(H) as the normal closure in H itself: the squares and
+    commutators of H's basis, normalised by every basis element."""
+    basis = H.basis
+    seeds = [r * r for r in basis] + [commutator(x, y) for x, y in combinations(basis, 2)]
+    return Subgroup(H.group, seeds, [(r, r.inverse()) for r in basis])

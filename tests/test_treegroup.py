@@ -28,6 +28,7 @@ from conjkex.treegroup import (
     parse_canonical,
     tree_group,
 )
+from oracles import frattini_by_basis
 
 
 def compose_perms(p, q):
@@ -417,7 +418,7 @@ def test_rank_matches_brute_force_search(case):
 
 # log2 |G'| and the rank of G' for the Sylow 2-subgroup of A_(2^k), past
 # where G' can be enumerated: 2^k - k - 2 and 2k - 3 (the paper).
-DERIVED_PINS = {5: (25, 7), 6: (56, 9)}
+DERIVED_PINS = {5: (25, 7), 6: (56, 9), 7: (119, 11)}
 
 
 @pytest.mark.parametrize("k", sorted(DERIVED_PINS))
@@ -432,6 +433,62 @@ def test_derived_order_and_rank_pinned_beyond_enumeration(k):
     for _ in range(20):
         assert commutator(*rng.sample(gens, 2)) in derived
     assert G.default_base() not in derived  # odd, so outside A
+
+
+def same_subgroup(H, K):
+    """Equal orders and each basis inside the other subgroup."""
+    return (H.order == K.order and all(g in K for g in H.basis)
+            and all(g in H for g in K.basis))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_frattini_under_the_normalisers_matches_the_basis_route(k):
+    G = tree_group(k)
+    derived = G.derived_subgroup(G.even_generators())
+    assert same_subgroup(derived.frattini(), frattini_by_basis(derived))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets((3, 4)))
+def test_frattini_of_closures_matches_the_basis_route(case):
+    G, gens = case
+    for H in (G.closure(gens), G.derived_subgroup(gens)):
+        assert same_subgroup(H.frattini(), frattini_by_basis(H))
+
+
+# The engine on fresh generators: k -> (|basis(G')|, |basis(Phi(G'))|,
+# products that Phi(G') takes).  G' builds two mask tuples per stored
+# element (each basis element and generator, and its inverse), Phi(G')
+# two per basis element of its own.
+ENGINE_COUNTS = {4: (10, 5, 264), 5: (25, 18, 1926), 6: (56, 47, 10339)}
+
+
+@pytest.mark.parametrize("k", sorted(ENGINE_COUNTS))
+def test_engine_builds_masks_once_per_stored_element(monkeypatch, k):
+    counts = {"masks": 0, "products": 0}
+    swap_masks, mul = TreeSylowGroup._swap_masks, Portrait.__mul__
+
+    def counted_masks(self, packed):
+        counts["masks"] += 1
+        return swap_masks(self, packed)
+
+    def counted_mul(self, other):
+        counts["products"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TreeSylowGroup, "_swap_masks", counted_masks)
+    monkeypatch.setattr(Portrait, "__mul__", counted_mul)
+    G = tree_group(k)
+    gens = G.even_generators()
+    basis, phi_basis, phi_products = ENGINE_COUNTS[k]
+    counts.update(masks=0, products=0)
+    derived = G.derived_subgroup(gens)
+    assert len(derived.basis) == basis
+    assert counts["masks"] == 2 * (basis + k)
+    counts.update(masks=0, products=0)
+    phi = derived.frattini()
+    assert len(phi.basis) == phi_basis
+    assert counts == {"masks": 2 * phi_basis, "products": phi_products}
 
 
 def test_tree_command_long_reaches_the_engine_limit(capsys):

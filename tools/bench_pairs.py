@@ -7,8 +7,16 @@ from pair to pair, so that a drift in machine speed does not favour one
 side.  Per workload and metric the output
 holds each side's median and quartiles (`statistics.quantiles`,
 inclusive), `change_wins` (the pairs the change won, by the metric's
-direction in the change's BENCHMARK.json; a tie counts for neither)
-and `relative_change` (change median over parent median, minus one).
+direction in the change's BENCHMARK.json; a tie counts for neither),
+`relative_change` (change median over parent median, minus one), and
+the two verdicts of the pair rule:
+
+- `gain_shown`: the change won at least 9/10 of the pairs, and its
+  median beats the parent's by more than the parent's quartile
+  distance (IQR);
+- `unresolved`: the parent's IQR exceeds the metric's `bound` times the
+  parent median, and not every change run beats every parent run, so
+  the runs spread too widely to tell a change within the bound.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload handshake:4 --workload attack:2 --seed 301 --out BENCH_N.json
@@ -46,24 +54,33 @@ def spread(values: list) -> dict:
     return {"median": round(statistics.median(values), 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def summarise(pairs: list, declared: dict) -> dict:
     """Aggregate (parent result, change result) pairs of one workload.
 
-    `better` maps each end-to-end metric to "lower" or "higher"."""
+    `declared` maps each end-to-end metric to its BENCHMARK.json entry:
+    "better" ("lower" or "higher") and "bound"."""
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in declared.items():
         values = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
                   for i, side in enumerate(SIDES)}
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (change - parent) > 0
                    for parent, change in zip(values["parent"], values["change"]))
+        spreads = {side: spread(values[side]) for side in SIDES}
         parent_median = statistics.median(values["parent"])
         change_median = statistics.median(values["change"])
+        parent_iqr = spreads["parent"]["q3"] - spreads["parent"]["q1"]
         relative = change_median / parent_median - 1 if parent_median else 0.0
+        # Every change run beats every parent run.
+        every_run_better = (min(sign * v for v in values["change"])
+                            > max(sign * v for v in values["parent"]))
         metrics[name] = {
-            **{side: spread(values[side]) for side in SIDES},
+            **spreads,
             "change_wins": wins,
             "relative_change": round(relative, 4),
+            "gain_shown": 10 * wins >= 9 * len(pairs)
+                          and sign * (change_median - parent_median) > parent_iqr,
+            "unresolved": parent_iqr > spec["bound"] * abs(parent_median) and not every_run_better,
         }
     return {
         "correct": all(result["correct"] for pair in pairs for result in pair),
@@ -89,7 +106,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    end_to_end = {metric["name"]: metric for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     workloads = {}
@@ -104,7 +121,7 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: wall_s "
                   + ", ".join(f"{side} {results[side]['metrics']['wall_s']['value']:.6g}"
                               for side in SIDES), file=sys.stderr)
-        workloads[name] = {"pairs": len(pairs), "seeds": seeds, **summarise(pairs, better)}
+        workloads[name] = {"pairs": len(pairs), "seeds": seeds, **summarise(pairs, end_to_end)}
     report = {
         "change": args.summary,
         "environment": f"{platform.python_implementation()} {platform.python_version()}, "
@@ -114,7 +131,10 @@ def main(argv=None) -> int:
             "method": "alternating parent/change pairs (the side that runs first alternates "
                       "each pair); one seed per pair, the same on both sides; scaled metrics; "
                       "median and quartiles (statistics.quantiles, inclusive) per side; "
-                      "change_wins counts pairs the change won, ties for neither",
+                      "change_wins counts pairs the change won, ties for neither; "
+                      "gain_shown: at least 9/10 pairs won and the medians differ by more "
+                      "than the parent's IQR; unresolved: the parent's IQR exceeds "
+                      "bound x parent median and not every change run beats every parent run",
             "workloads": workloads,
         },
     }
