@@ -8,7 +8,7 @@ group products, and a suite verifying the structural claims the
 construction rests on.
 """
 
-from .arith import OpCounter, bsgs_dlog, is_probable_prime
+from .arith import is_probable_prime
 from .cryptanalysis import AttackReport, bsgs_break, orbit_stats
 from .heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from .kex import DemoResult, Session, Transcript, parse_element, run_demo, validate_base
@@ -26,13 +26,11 @@ __all__ = [
     "HeisenbergGroup",
     "MetaElement",
     "MetacyclicGroup",
-    "OpCounter",
     "Portrait",
     "Session",
     "Transcript",
     "TreeSylowGroup",
     "bsgs_break",
-    "bsgs_dlog",
     "commutator",
     "heisenberg_group",
     "is_probable_prime",

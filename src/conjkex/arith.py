@@ -1,12 +1,11 @@
 """Number-theoretic primitives on plain Python ints.
 
 `is_probable_prime` validates the odd prime p of the metacyclic and
-heisenberg platforms.  `OpCounter` counts the modular multiplications a
-search spends.  `bsgs_dlog`, a generic baby-step giant-step discrete
-log, is the independent oracle that the tests and the attack-cost demo
-hold the metacyclic platform's closed-form `private_log` against.  All
-integers are plain Python ints, so parameters of any magnitude work
-without overflow.
+heisenberg platforms.  `bsgs_dlog`, a generic baby-step giant-step
+discrete log, is the independent oracle that the tests and the
+attack-cost demo hold the metacyclic platform's closed-form
+`private_log` against.  All integers are plain Python ints, so
+parameters of any magnitude work without overflow.
 """
 
 from __future__ import annotations
@@ -50,39 +49,19 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class OpCounter:
-    """Mutable counter for the modular multiplications an algorithm spends."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def tick(self, n: int = 1) -> None:
-        self.count += n
-
-
-def bsgs_dlog(
-    base: int,
-    target: int,
-    modulus: int,
-    order: int,
-    ops: OpCounter | None = None,
-) -> int:
+def bsgs_dlog(base: int, target: int, modulus: int, order: int) -> int:
     """Baby-step giant-step discrete log in the cyclic group <base> mod modulus.
 
     `order` bounds the order of base.  Returns the least s >= 0 with
     base**s = target, spending at most 2*ceil(sqrt(order)) + 1 modular
-    multiplications (tracked via `ops`).  Raises NoSolutionError when
-    target is not a power of base, and ValueError when modulus < 2,
-    order < 1 or base is not a unit.
+    multiplications.  Raises NoSolutionError when target is not a power
+    of base, and ValueError when modulus < 2, order < 1 or base is not a
+    unit.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if ops is None:
-        ops = OpCounter()
     m = math.isqrt(order)
     if m * m < order:
         m += 1
@@ -94,7 +73,6 @@ def bsgs_dlog(
     for j in range(m):
         table.setdefault(cur, j)
         cur = cur * b % modulus
-    ops.tick(m)
     # cur is now base**m; invert it once for the giant stride.
     stride = pow(cur, -1, modulus)
     gamma = t
@@ -103,8 +81,6 @@ def bsgs_dlog(
         if j is not None:
             s = i * m + j
             if s < order or pow(b, s, modulus) == t:
-                ops.tick(i)
                 return s
         gamma = gamma * stride % modulus
-    ops.tick(m + 1)
     raise NoSolutionError(f"{t} is not in the subgroup generated by {b} mod {modulus}")

@@ -16,7 +16,6 @@ malformed input, 3 key disagreement in demo.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -88,7 +87,7 @@ def _group_from_args(args) -> object:
     """The group that --platform and its flags name.  A platform needs
     each of its own flags and refuses another platform's."""
     factory = kex.PLATFORMS[args.platform]
-    names = inspect.signature(factory).parameters
+    names = factory.__wrapped__.param_names
     flags = [f"-{name}" for name in names]
     listed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
     values = [getattr(args, name) for name in names]

@@ -83,17 +83,14 @@ def sample_private(group, rng: SplitMix64):
 
 
 class Session:
-    """One party ("alice" or "bob") of an exchange, complete once built:
-    its private is `sample_private`'s draw from its own SplitMix64,
-    seeded with `seed`, so the parties' draws do not depend on each
-    other or on the order they are built in."""
+    """One party of an exchange, complete once built: its private is
+    `sample_private`'s draw from its own SplitMix64, seeded with `seed`,
+    so the parties' draws do not depend on each other or on the order
+    they are built in."""
 
-    def __init__(self, role: str, base, seed: int):
-        if role not in ("alice", "bob"):
-            raise ValueError("role must be 'alice' or 'bob'")
+    def __init__(self, base, seed: int):
         if not validate_base(base):
             raise ValueError("base element is unusable (central or degenerate)")
-        self.role = role
         self.base = base
         self.private = sample_private(base.group, SplitMix64(seed))
 
@@ -197,8 +194,8 @@ class DemoResult:
 def run_demo(base, seed_alice: int, seed_bob: int, debug_key: bool = False) -> DemoResult:
     """Full two-party exchange; keys must agree for honest runs."""
     group = base.group
-    alice = Session("alice", base, seed_alice)
-    bob = Session("bob", base, seed_bob)
+    alice = Session(base, seed_alice)
+    bob = Session(base, seed_bob)
 
     transcript = Transcript()
     transcript.add(type="header", rng=ALGORITHM_ID)

@@ -16,10 +16,11 @@ depth d < l, shallowest first, swap the two halves of every run of
 2^j bits swap on every level at once in one masked delta swap (Warren,
 Hacker's Delight, ch. 7), with g's masks from `_swap_masks`.  Q_g, the
 inverse action, is the same swaps deepest first, and g^-1 = Q_g(g).  A
-product or an inverse costs O(k^2) big-int operations on 2^k-bit ints
-for a dense g, and O(k) or fewer for a g labelled on one or two levels
-(a key, the bottom-swap base, a single-vertex generator), since only
-labelled levels are spread and a swap with an empty mask is skipped.
+product or an inverse costs O(k*(k-l)) big-int operations on 2^k-bit
+ints for a g whose highest label is on level l: O(k^2) for a dense g or
+a root generator, O(k) for a key on level k-2, and one XOR for a g
+labelled only on the bottom level (the bottom-swap base), since a swap
+with an empty mask is skipped.
 
 Conjugation takes two swap passes where x^-1 * w * x takes three: Q_x
 is a bit permutation, so it distributes over XOR, and
@@ -161,27 +162,22 @@ class TreeSylowGroup(Group):
         masks[j] selects the lower half of every 2^(j+1)-bit block on
         levels j+1..k-1 whose ancestor j+1 levels up is labelled.  It is
         the labels widened to 2^j-bit blocks, bottom level dropped, after
-        a Morton spread M that moves run i to run 2i; filling the other
-        halves gives the next j's blocks.  Only the labelled span is
-        spread: trailing zeros, whole aligned runs, are stripped first and
-        restored doubled (M(x << z) = M(x) << 2z when 2^j divides z), and
-        the step that shifts by 2^e, a no-op below 2^(2^e), is skipped
-        where the int is too short for it.
+        a Morton spread that moves run i to run 2i; filling the other
+        halves gives the next j's blocks.  The step that shifts by 2^e, a
+        no-op below 2^(2^e), is skipped where the int is too short for
+        it, and the stages stop once no label is left to spread.
 
         Cost: O(k^2) full-width operations for a dense portrait; none for
         one labelled only on the bottom level, which gets the group's
-        shared all-zero tuple; O(k) for one labelled only on level l
-        (k-1-l stages over the labelled span); the j = 0 spread alone for
-        level k-2 (a key).
+        shared all-zero tuple; O(k*(k-l)) for one whose highest label is
+        on level l (k-1-l stages); the j = 0 spread alone for level k-2
+        (a key).
         """
         half = self.leaves >> 1
         if not packed >> half:
             return self._zero_masks
         k = self.k
         spread = self._spread
-        # The level-(k-2) field of `low`: empty only when the labels
-        # still to spread sit high, the case the strip is for.
-        last_field = (1 << (half >> 1)) - 1
         masks = []
         widened = packed  # blocks of 2^j bits, one per label, for j = 0
         for j in range(k - 1):
@@ -189,15 +185,8 @@ class TreeSylowGroup(Group):
             if not low:
                 masks.extend([0] * (k - 1 - j))
                 break
-            if low & last_field:
-                z = 0
-            else:
-                z = (low & -low).bit_length() - 1
-                low >>= z
             for e in range((low.bit_length() - 1).bit_length() - 1, j - 1, -1):
                 low = (low | (low << (1 << e))) & spread[e]
-            if z:
-                low <<= 2 * z
             masks.append(low)
             widened = low | (low << (1 << j))
         return tuple(masks)

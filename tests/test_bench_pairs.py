@@ -51,10 +51,11 @@ def test_summary_of_four_pairs():
     assert ops["change_wins"] == 2
     assert ops["parent"]["median"] == 100.0
     assert ops["change"]["median"] == 104.5
-    # 3/4 and 2/4 pairs won: below 9/10, so no gain is shown; both
-    # parents spread well inside 0.2 of their median.
-    assert [wall["gain_shown"], wall["unresolved"]] == [False, False]
-    assert [ops["gain_shown"], ops["unresolved"]] == [False, False]
+    # 3/4 and 2/4 pairs won: below 9/10, so no gain is shown.  Both
+    # parents spread well inside 0.2 of their median, but four pairs are
+    # fewer than ten and some change run ties or loses to a parent run.
+    assert [wall["gain_shown"], wall["unresolved"]] == [False, True]
+    assert [ops["gain_shown"], ops["unresolved"]] == [False, True]
 
 
 def ten_pairs(parent_walls, change_walls):
@@ -112,3 +113,16 @@ def test_one_pair_is_its_own_quartiles_and_failures_are_summed():
     assert summary["metrics"]["wall_s"]["parent"] == {"median": 0.03, "q1": 0.03, "q3": 0.03}
     assert summary["metrics"]["wall_s"]["relative_change"] == pytest.approx(-0.3333)
 
+
+def test_fewer_than_ten_pairs_are_unresolved_unless_every_change_run_wins():
+    # Three pairs with a narrow parent spread (IQR 0.001 against
+    # 0.2 x 0.030): a change 30 % slower is still unresolved.
+    parent = [0.030, 0.031, 0.029]
+    slower = ten_pairs(parent, [0.039, 0.041, 0.038])
+    wall = bench_pairs.summarise(slower, DECLARED)["metrics"]["wall_s"]
+    assert wall["relative_change"] == round(0.039 / 0.030 - 1, 4)
+    assert wall["unresolved"] is True
+    # A change whose every run beats every parent run is resolved.
+    faster = ten_pairs(parent, [0.020, 0.021, 0.019])
+    wall = bench_pairs.summarise(faster, DECLARED)["metrics"]["wall_s"]
+    assert wall["unresolved"] is False

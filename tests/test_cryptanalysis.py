@@ -17,8 +17,8 @@ from conjkex.treegroup import tree_group
 from oracles import NotInOrbitError, brute_conjugacy
 
 
-def forced_session(role, base, private):
-    session = Session(role, base, seed=0)
+def forced_session(base, private):
+    session = Session(base, seed=0)
     session.private = private
     return session
 
@@ -41,8 +41,8 @@ def test_bsgs_break_example():
     assert report.exponent == 2
     assert report.recovered_key == G.a(1).canonical().encode()
     # cross-check against the honest parties with x=b^2, y=b^1
-    alice = forced_session("alice", w, G.b(2))
-    bob = forced_session("bob", w, G.b(1))
+    alice = forced_session(w, G.b(2))
+    bob = forced_session(w, G.b(1))
     honest = alice.derive(bob.public_value())
     assert bob.derive(alice.public_value()) == honest
     assert report.recovered_key == honest
@@ -128,6 +128,24 @@ def test_break_recovers_tree_keys_on_dense_bases(k):
         report = bsgs_break(w, w_x, result.transcript.public_from("bob"))
         assert report.recovered_key == result.key_alice
         assert report.group_ops == 2
+        assert w.conjugate_by(G.commuting_conjugator(report.exponent)) == w_x
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_break_recovers_tree_keys_on_bases_labelled_only_high(k):
+    # The root generator, a level-1 generator and the root plus one
+    # bottom label: every stage of their swap masks spreads a label
+    # that sits high in the packed int.
+    G = tree_group(k)
+    bases = [G.single(0, 0), G.single(1, 1), G.from_level_masks({0: 1, k - 1: 1})]
+    for seed, w in enumerate(bases):
+        assert G.usable_base(w)
+        result = run_demo(w, 2 * seed + 1, 2 * seed + 2, debug_key=True)
+        transcript = result.transcript
+        w_x = transcript.public_from("alice")
+        report = bsgs_break(transcript.base_element(), w_x, transcript.public_from("bob"))
+        assert result.agreed
+        assert report.recovered_key == transcript.debug_key()
         assert w.conjugate_by(G.commuting_conjugator(report.exponent)) == w_x
 
 

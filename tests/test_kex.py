@@ -29,8 +29,8 @@ from oracles import conjugate_via_products
 MC = metacyclic_group(3, 2, 2)
 
 
-def forced_session(role, base, private):
-    session = Session(role, base, seed=0)
+def forced_session(base, private):
+    session = Session(base, seed=0)
     session.private = private
     return session
 
@@ -39,32 +39,32 @@ def forced_session(role, base, private):
 
 def test_derive_examples_fixed_privates():
     w = MC.a(1)
-    alice = forced_session("alice", w, MC.b(1))
-    bob = forced_session("bob", w, MC.b(1))
+    alice = forced_session(w, MC.b(1))
+    bob = forced_session(w, MC.b(1))
     key_a = alice.derive(bob.public_value())
     key_b = bob.derive(alice.public_value())
     assert key_a == key_b == MC.a(7).canonical().encode()  # 4^2 mod 9
 
-    alice = forced_session("alice", w, MC.b(1))
-    bob = forced_session("bob", w, MC.b(2))
+    alice = forced_session(w, MC.b(1))
+    bob = forced_session(w, MC.b(2))
     key_a = alice.derive(bob.public_value())
     key_b = bob.derive(alice.public_value())
     assert key_a == key_b == MC.a(1).canonical().encode()  # twist order 3 wraps
 
     # x = y^-1 conjugates w by the identity overall
-    alice = forced_session("alice", w, MC.b(4))
-    bob = forced_session("bob", w, MC.b(1).inverse() * MC.b(-3))
+    alice = forced_session(w, MC.b(4))
+    bob = forced_session(w, MC.b(1).inverse() * MC.b(-3))
     assert alice.private * bob.private == MC.identity()
     assert alice.derive(bob.public_value()) == w.canonical().encode()
 
 
 def test_public_value_examples():
     w = MC.a(1)
-    session = forced_session("alice", w, MC.b(1))
+    session = forced_session(w, MC.b(1))
     assert session.public_value() == MC.a(4)  # the defining relation
 
     H = heisenberg_group(3, 1, 1)
-    hb = forced_session("bob", H.a(), H.b())
+    hb = forced_session(H.a(), H.b())
     assert hb.public_value() == H.element(1, 0, 1)  # b^-1 a b = ac
 
 
@@ -118,29 +118,29 @@ def test_tree_base_rule_matches_the_product_oracle(k):
     "group", [MC, heisenberg_group(3, 1, 1), tree_group(3)], ids=lambda g: g.kind
 )
 def test_platform_table_factories(group):
-    # The CLI asks for one flag per factory parameter.
+    # The CLI asks for one flag per name in the group class's
+    # param_names, and passes them to the factory in that order.
     factory = PLATFORMS[group.kind]
+    assert factory.__wrapped__ is type(group)
     assert tuple(inspect.signature(factory).parameters) == group.param_names
     assert factory(*(getattr(group, name) for name in group.param_names)) is group
 
 
 def test_session_state_and_mismatch_errors():
-    session = Session("alice", MC.a(1), seed=1)
-    other = Session("bob", metacyclic_group(3, 2, 1).a(1), seed=2)
+    session = Session(MC.a(1), seed=1)
+    other = Session(metacyclic_group(3, 2, 1).a(1), seed=2)
     with pytest.raises(PlatformMismatchError):
         session.derive(other.public_value())
     with pytest.raises(ValueError):
-        Session("alice", MC.identity(), seed=1)
-    with pytest.raises(ValueError):
-        Session("carol", MC.a(1), seed=1)
+        Session(MC.identity(), seed=1)
 
 
 # ------------------------------------------------------------- determinism
 
 def test_equal_seeds_equal_privates():
     for group in (MC, heisenberg_group(3, 1, 1), tree_group(3)):
-        s1 = Session("alice", group.default_base(), seed=99)
-        s2 = Session("bob", group.default_base(), seed=99)
+        s1 = Session(group.default_base(), seed=99)
+        s2 = Session(group.default_base(), seed=99)
         assert s1.private == s2.private
         # A session is complete once built: its private is the seed's draw.
         assert s1.private == sample_private(group, SplitMix64(99))

@@ -14,12 +14,14 @@ the two verdicts of the pair rule:
 - `gain_shown`: the change won at least 9/10 of the pairs, and its
   median beats the parent's by more than the parent's quartile
   distance (IQR);
-- `unresolved`: the parent's IQR exceeds the metric's `bound` times the
-  parent median, and not every change run beats every parent run, so
-  the runs spread too widely to tell a change within the bound.
+- `unresolved`: fewer than ten pairs ran, or the parent's IQR exceeds
+  the metric's `bound` times the parent median, and not every change
+  run beats every parent run, so the runs are too few or spread too
+  widely to tell a change within the bound.  A few pairs' IQR misses a
+  drift in machine speed that moves one side's whole run.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload handshake:4 --workload attack:2 --seed 301 --out BENCH_N.json
+        --workload handshake:10 --workload attack:10 --seed 301 --out BENCH_N.json
 """
 
 import argparse
@@ -80,7 +82,8 @@ def summarise(pairs: list, declared: dict) -> dict:
             "relative_change": round(relative, 4),
             "gain_shown": 10 * wins >= 9 * len(pairs)
                           and sign * (change_median - parent_median) > parent_iqr,
-            "unresolved": parent_iqr > spec["bound"] * abs(parent_median) and not every_run_better,
+            "unresolved": (len(pairs) < 10 or parent_iqr > spec["bound"] * abs(parent_median))
+                          and not every_run_better,
         }
     return {
         "correct": all(result["correct"] for pair in pairs for result in pair),
@@ -133,8 +136,9 @@ def main(argv=None) -> int:
                       "median and quartiles (statistics.quantiles, inclusive) per side; "
                       "change_wins counts pairs the change won, ties for neither; "
                       "gain_shown: at least 9/10 pairs won and the medians differ by more "
-                      "than the parent's IQR; unresolved: the parent's IQR exceeds "
-                      "bound x parent median and not every change run beats every parent run",
+                      "than the parent's IQR; unresolved: fewer than ten pairs or the parent's "
+                      "IQR exceeds bound x parent median, and not every change run beats "
+                      "every parent run",
             "workloads": workloads,
         },
     }
