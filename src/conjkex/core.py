@@ -24,7 +24,8 @@ are the p-groups' `element(*exponents)`, which takes one int per
 exponent and reduces it, and the tree's `from_packed(packed)`, which
 refuses a non-int, a negative and a value wider than the tree.  Both
 then build with the platform's private `_make`, as every result that
-is in range by construction does; an element class refuses a call.
+is in range by construction does (the metacyclic product takes the
+same steps inline); an element class refuses a call.
 
 The group classes derive from `Group`, which gives them ownership
 checks, equality and hashing over their parameter tuple, and the
@@ -190,11 +191,12 @@ class Element:
 
 def mutable_twin(element_class) -> type:
     """A class with `element_class`'s base and slots and plain attribute
-    assignment, for a platform's `_make` to fill: it sets the fields as
-    ordinary attributes, then assigns `element_class` to the new
-    object's `__class__`, after which `Element.__setattr__` refuses
-    every further assignment.  That is faster than setting each slot
-    through its descriptor."""
+    assignment, for a platform's `_make` (or a hot path that builds in
+    place, with the same steps) to fill: it sets the fields as ordinary
+    attributes, then assigns `element_class` to the new object's
+    `__class__`, after which `Element.__setattr__` refuses every further
+    assignment.  That is faster than setting each slot through its
+    descriptor."""
     return type(
         f"_Mutable{element_class.__name__}",
         element_class.__bases__,
@@ -331,11 +333,11 @@ class PElement(Element):
     `exponent_names`; this class derives from them `canonical()` and the
     value, the exponent tuple, which `Element` compares and hashes.
 
-    Every element comes from the subclass's private `_make`, which
-    stores exponents that are in range by construction: the group's
-    `element` checks and reduces its input first, and products,
-    inverses, conjugates and enumerations reduce each exponent where
-    they compute it.
+    Every element comes from the subclass's private `_make` (or its
+    steps inline), which stores exponents that are in range by
+    construction: the group's `element` checks and reduces its input
+    first, and products, inverses, conjugates and enumerations reduce
+    each exponent where they compute it.
     """
 
     __slots__ = ()

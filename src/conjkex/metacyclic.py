@@ -38,8 +38,14 @@ class MetaElement(PElement):
         G = self.group
         if other.__class__ is not MetaElement or other.group is not G:
             self._check(other)
+        # The claim suites' hot path builds in place; `_make` builds the rest.
         t = 1 + self.j % G.p * G.step
-        return _make(G, (self.i + other.i * t) % G.pm, (self.j + other.j) % G.pn)
+        g = _MutableMetaElement()
+        g.group = G
+        g.i = (self.i + other.i * t) % G.pm
+        g.j = (self.j + other.j) % G.pn
+        g.__class__ = MetaElement
+        return g
 
     def inverse(self) -> "MetaElement":
         G = self.group

@@ -109,10 +109,10 @@ def _powers(g, count: int) -> list:
 
 
 def _fixed_points(tables) -> set[int]:
-    """The indices that every table maps to themselves: with generator
-    tables, those of the centre."""
-    first, *rest = tables
-    return {h for h, image in enumerate(first) if image == h and all(t[h] == h for t in rest)}
+    """The indices that both tables of `_conjugation_tables`, conjugation
+    by a and by b, map to themselves: those of the centre."""
+    by_a, by_b = tables
+    return {h for h, (u, v) in enumerate(zip(by_a, by_b)) if u == h == v}
 
 
 def _claim(claim_id, params, paper_value, measured_value, started) -> ClaimResult:
@@ -133,16 +133,20 @@ def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]
     singletons.  Exhaustive over each group in the grid.
 
     Both halves are read off `_conjugation_tables`: the classes are
-    closed over the tables, one closure per class, and an element is
-    central when every table fixes it, so "central => singleton" is
-    measured for every element.  Cost per group: 2|G| + 2(p^m + p^n) + 4
-    products, two inverses, and no element sets.
+    closed over the two tables, one closure per class, and an element
+    is central when both tables fix it.  Each class's size is recorded
+    once: as a central size if the class meets the centre, and as a
+    non-central size if it has a member outside it, so
+    "central => singleton" is measured for every element.  Cost per
+    group: 2|G| + 2(p^m + p^n) + 4 products, two inverses, and no
+    element sets.
     """
     results = []
     for p, m, n in grid:
         started = time.perf_counter()
         group = metacyclic_group(p, m, n)
         tables = _conjugation_tables(group)
+        by_a, by_b = tables
         central = _fixed_points(tables)
         sizes = {True: set(), False: set()}  # central -> observed sizes
         placed = bytearray(group.order)
@@ -152,13 +156,18 @@ def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]
             placed[start] = 1
             cls = [start]
             for index in cls:  # grows while it is read: a breadth-first closure
-                for table in tables:
-                    image = table[index]
-                    if not placed[image]:
-                        placed[image] = 1
-                        cls.append(image)
-            for index in cls:
-                sizes[index in central].add(len(cls))
+                image = by_a[index]
+                if not placed[image]:
+                    placed[image] = 1
+                    cls.append(image)
+                image = by_b[index]
+                if not placed[image]:
+                    placed[image] = 1
+                    cls.append(image)
+            if not central.isdisjoint(cls):
+                sizes[True].add(len(cls))
+            if not central.issuperset(cls):
+                sizes[False].add(len(cls))
         measured = (
             f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
         )

@@ -21,7 +21,8 @@ from conjkex.verify import (
 )
 
 SMALL_GRID = [(3, 2, 1), (3, 2, 2), (5, 2, 1)]
-ORACLE_GRID = [*SMALL_GRID, (3, 3, 2), (7, 2, 1)]
+# (3, 2, 3) is the m < n shape that `default_param_grid` lacks.
+ORACLE_GRID = [*SMALL_GRID, (3, 3, 2), (7, 2, 1), (3, 2, 3)]
 GOLDEN = Path(__file__).parent / "data" / "verify_all_long.ndjson"
 
 
@@ -112,11 +113,12 @@ def test_conjugation_tables_match_literal_conjugates(params):
     pairs = verify.conjugation_pairs(group.generator_elements())
     tables = verify._conjugation_tables(group)
     assert len(tables) == len(pairs)
+    # Positions are read through `group.index`, the owner of the encoding
+    # that verify's hot loops write inline as i * p^n + j.
     for table, (x, x_inv) in zip(tables, pairs):
         assert len(table) == group.order
         for h in group.elements():
-            conj = x_inv * h * x
-            assert table[h.i * group.pn + h.j] == conj.i * group.pn + conj.j
+            assert table[group.index(h)] == group.index(x_inv * h * x)
 
 
 def test_class_size_values_match_per_element_loop():
@@ -168,14 +170,15 @@ def test_engine_measured_sylow_orders_are_checked_against_the_paper(monkeypatch)
 
 
 def test_center_claims_pass():
-    results = center_claims(grid=SMALL_GRID)
-    assert len(results) == 2 * len(SMALL_GRID)
+    results = center_claims(grid=ORACLE_GRID)
+    assert len(results) == 2 * len(ORACLE_GRID)
     for result in results:
         assert result.passed, result.to_json()
     orders = {r.params: r.measured_value for r in results if r.claim_id == "center.order"}
     assert orders["p=3,m=2,n=1"] == "3"
     assert orders["p=3,m=2,n=2"] == "9"
     assert orders["p=5,m=2,n=1"] == "5"
+    assert orders["p=3,m=2,n=3"] == "27"
 
 
 def test_heisenberg_orbit_claims_pass():
