@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import _TEXT_BOUND
@@ -59,14 +58,14 @@ def decimal_text(x: int) -> str:
     return str(convert(x))
 
 
-@dataclass
 class AttackReport:
     """Outcome of one attack run; group_ops counts platform multiplications."""
 
-    recovered_key: bytes
-    exponent: int
-    group_ops: int
-    wall_ms: float
+    def __init__(self, recovered_key: bytes, exponent: int, group_ops: int, wall_ms: float) -> None:
+        self.recovered_key = recovered_key
+        self.exponent = exponent
+        self.group_ops = group_ops
+        self.wall_ms = wall_ms
 
     def to_json(self) -> str:
         return json.dumps(

@@ -74,9 +74,6 @@ class HeisenbergGroup(PGroup):
     element_class = HeisenbergElement
     _make = staticmethod(_make)
 
-    def c(self, k: int = 1) -> HeisenbergElement:
-        return _make(self, 0, 0, k % self.p)
-
     def index(self, g: HeisenbergElement) -> int:
         """g's position in `elements()`: (i*p^n + j)*p + k."""
         if g.group is not self:

@@ -38,7 +38,6 @@ repeated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import heisenberg, metacyclic, treegroup
@@ -112,11 +111,11 @@ def _dump(message: dict) -> str:
     return "{" + ",".join([_quote(k) + ":" + _quote(v) for k, v in message.items()]) + "}"
 
 
-@dataclass
 class Transcript:
     """Replayable record of the public handshake messages."""
 
-    messages: list = field(default_factory=list)
+    def __init__(self, messages: list | None = None) -> None:
+        self.messages = [] if messages is None else messages
 
     def add(self, **fields) -> None:
         self.messages.append(dict(fields))
@@ -180,11 +179,11 @@ class Transcript:
         return self._field(self._only("debug"), "key").encode("ascii")
 
 
-@dataclass
 class DemoResult:
-    transcript: Transcript
-    key_alice: bytes
-    key_bob: bytes
+    def __init__(self, transcript: Transcript, key_alice: bytes, key_bob: bytes) -> None:
+        self.transcript = transcript
+        self.key_alice = key_alice
+        self.key_bob = key_bob
 
     @property
     def agreed(self) -> bool:

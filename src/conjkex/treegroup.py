@@ -379,13 +379,6 @@ class Portrait(Element):
         G._check_vertex(level, pos)
         return (self.packed >> G._shift(level, pos)) & 1
 
-    def level_mask(self, level: int) -> int:
-        """Bit p is the label of vertex p on the level."""
-        G = self.group
-        G._check_level(level)
-        width = 1 << level
-        return _reverse((self.packed >> G._offset(level)) & ((1 << width) - 1), width)
-
     def __mul__(self, other: "Portrait") -> "Portrait":
         """Composite "self then other": leaf x maps to other(self(x)).
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import time
 from array import array
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
@@ -31,14 +30,17 @@ DEFAULT_MS = (2, 3)
 DEFAULT_NS = (1, 2)
 
 
-@dataclass
 class ClaimResult:
-    claim_id: str
-    params: str
-    paper_value: str
-    measured_value: str
-    passed: bool
-    elapsed_ms: float
+    def __init__(
+        self, claim_id: str, params: str, paper_value: str, measured_value: str,
+        passed: bool, elapsed_ms: float,
+    ) -> None:
+        self.claim_id = claim_id
+        self.params = params
+        self.paper_value = paper_value
+        self.measured_value = measured_value
+        self.passed = passed
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> str:
         return json.dumps(

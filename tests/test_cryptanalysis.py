@@ -244,14 +244,19 @@ def test_decimal_text_equals_str_of_decimal(x):
 
 
 def test_a_metacyclic_attack_report_imports_no_decimal():
-    code = (
-        "import sys\n"
-        "from conjkex.cryptanalysis import bsgs_break\n"
-        "from conjkex.kex import run_demo\n"
-        "from conjkex.metacyclic import metacyclic_group\n"
-        "t = run_demo(metacyclic_group(1000003, 2, 2).default_base(), 1, 2).transcript\n"
-        "print(bsgs_break(t.base_element(), t.public_from('alice'), t.public_from('bob')).to_json())\n"
-        "assert 'decimal' not in sys.modules\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # Each case runs in a fresh interpreter, which must not load the module
+    # named; the CLI's records are plain classes, with no code generator.
+    cases = {
+        "decimal": (
+            "from conjkex.cryptanalysis import bsgs_break\n"
+            "from conjkex.kex import run_demo\n"
+            "from conjkex.metacyclic import metacyclic_group\n"
+            "t = run_demo(metacyclic_group(1000003, 2, 2).default_base(), 1, 2).transcript\n"
+            "print(bsgs_break(t.base_element(), t.public_from('alice'), t.public_from('bob')).to_json())\n"
+        ),
+        "dataclasses": "import conjkex.cli\n",
+    }
+    for module, code in cases.items():
+        code = f"import sys\n{code}assert {module!r} not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)

@@ -75,7 +75,7 @@ def test_validate_base():
     assert not validate_base(MC.b(1))  # a base must lie in <a>
     H = heisenberg_group(3, 1, 1)
     assert validate_base(H.a())
-    assert not validate_base(H.c())
+    assert not validate_base(H.element(0, 0, 1))
     T = tree_group(3)
     assert validate_base(T.default_base())
     assert not validate_base(T.identity())
@@ -158,7 +158,7 @@ def test_private_ranges():
         x = sample_private(T, rng)
         for other_level in range(T.k):
             if other_level != level:
-                assert x.level_mask(other_level) == 0
+                assert not any(x.bit(other_level, p) for p in range(1 << other_level))
 
 
 def test_transcripts_replay_byte_exactly():
@@ -254,6 +254,9 @@ def test_transcript_roundtrip(group):
 def test_empty_transcript_roundtrip():
     assert Transcript().to_text() == ""
     assert Transcript.from_text("").to_text() == ""
+    # Each transcript starts with its own list, not one shared default.
+    Transcript().add(type="header")
+    assert Transcript().to_text() == ""
 
 
 # -------------------------------------------------------------- agreement
@@ -308,7 +311,8 @@ def test_sampled_privates_commute():
 def _dense_tree_base():
     G = tree_group(8)
     base = G.from_packed(SplitMix64(5).randbits(G.bit_count))
-    assert all(base.level_mask(level) for level in range(G.k))  # labelled on every level
+    # labelled on every level
+    assert all(any(base.bit(level, p) for p in range(1 << level)) for level in range(G.k))
     return base
 
 
