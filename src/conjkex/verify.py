@@ -72,15 +72,19 @@ measured_class = conjugation_orbit
 def _conjugation_tables(group) -> list[array]:
     """For each generator x of a metacyclic group, the table of
     h -> x^-1 * h * x over G, by index: entry i * p^n + j is the index
-    of the conjugate of a^i b^j.  A table is filled from
-    `_conjugation_powers` one row of p^n entries at a time, with one
-    product per element, so a group's two cost 2|G| + 2(p^m + p^n) + 4
-    products.
+    of the conjugate of a^i b^j.
+
+    Conjugation by x is an automorphism, so it maps a^i b^j to
+    A^i * B^j, with A = x^-1 a x and B = x^-1 b x.  A table is filled
+    from their powers one row of p^n entries at a time: 4 products for
+    A and B, p^m - 1 and p^n - 1 for their powers and one per element,
+    so a group's two tables cost 2|G| + 2(p^m + p^n) + 4 products.
     """
     pn = group.pn
     tables = []
     for x, x_inv in conjugation_pairs(group.generator_elements()):
-        a_powers, b_powers = _conjugation_powers(group, x, x_inv)
+        a_powers = _powers(x_inv * group.a() * x, group.pm)
+        b_powers = _powers(x_inv * group.b() * x, pn)
         table = array("l")
         for a_power in a_powers:
             table.extend([(g := a_power * b_power).i * pn + g.j for b_power in b_powers])
@@ -88,18 +92,30 @@ def _conjugation_tables(group) -> list[array]:
     return tables
 
 
-def _conjugation_powers(group, x, x_inv) -> tuple[list, list]:
-    """The powers A^0..A^(p^m - 1) and B^0..B^(p^n - 1) of A = x^-1 a x
-    and B = x^-1 b x.
+def _commutation_sides(group, x, x_inv) -> list[list[int]]:
+    """The indices of both sides of x^-1 a^i b^j x = a^i b^j, split as
+    a^-i A^i = b^j B^-j with A = x^-1 a x and B = x^-1 b x: the left
+    side for each i < p^m, then the right side for each j < p^n.
 
-    Conjugation by x is an automorphism, so it maps a^i b^j to
-    A^i * B^j.  The powers cost 4 products for A and B and p^m - 1 and
-    p^n - 1 for the rest.
+    Conjugation by x is an automorphism, so x^-1 a^i b^j x = A^i B^j,
+    and x fixes a^i b^j exactly when the two indices at i and j are
+    equal.  Each side grows from the identity as L <- a^-1 L A
+    and R <- b R B^-1, so the sides cost 4 products for A and B and
+    2(p^m - 1) + 2(p^n - 1) for the steps.
     """
-    return (
-        _powers(x_inv * group.a() * x, group.pm),
-        _powers(x_inv * group.b() * x, group.pn),
-    )
+    pn = group.pn
+    sides = []
+    for u, v, count in (
+        (group.a().inverse(), x_inv * group.a() * x, group.pm),
+        (group.b(), (x_inv * group.b() * x).inverse(), pn),
+    ):
+        g = group.identity()
+        side = [g.i * pn + g.j]
+        for _ in range(count - 1):
+            g = u * g * v
+            side.append(g.i * pn + g.j)
+        sides.append(side)
+    return sides
 
 
 def _powers(g, count: int) -> list:
@@ -184,11 +200,12 @@ def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
     """|Z(G)| = p^(m+n-2), and Z(G) is exactly <a^p, b^p>.
 
     Z(G) is the set of elements that conjugation by a and by b both fix.
-    From `_conjugation_powers`, as in `_conjugation_tables`, all of G is
-    conjugated by the first generator, then by the second only the
-    indices the first fixes (|G|/p of them), and those it fixes too are
-    kept: |G| + |G|/p + 2(p^m + p^n) + 4 products per group.  The centre
-    is then compared by index with `center_elements()`.
+    For each generator, `_commutation_sides` gives the index of both
+    sides of the fixed-point equation, and an index h = i * p^n + j is
+    kept while its two sides are equal, so no product is formed per
+    element: 4(p^m + p^n) products and six inverses per group (5,408
+    products over `default_param_grid`).  The centre is then compared
+    by index with `center_elements()`.
     """
     results = []
     for p, m, n in grid:
@@ -197,11 +214,8 @@ def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
         pn = group.pn
         fixed = range(group.order)
         for x, x_inv in conjugation_pairs(group.generator_elements()):
-            a_powers, b_powers = _conjugation_powers(group, x, x_inv)
-            fixed = [
-                h for h in fixed
-                if (g := a_powers[h // pn] * b_powers[h % pn]).i * pn + g.j == h
-            ]
+            lefts, rights = _commutation_sides(group, x, x_inv)
+            fixed = [h for h in fixed if lefts[h // pn] == rights[h % pn]]
         center = set(fixed)
         results.append(
             _claim(

@@ -61,19 +61,21 @@ def per_element_class_sizes(p, m, n):
     [
         pytest.param(class_size_claims, (3, 2, 1), 82, id="class_size_claims-params0-82"),
         pytest.param(class_size_claims, (5, 2, 1), 314, id="class_size_claims-params1-314"),
-        pytest.param(center_claims, (3, 2, 1), 64, id="center_claims-params0-64"),
-        pytest.param(center_claims, (5, 2, 1), 214, id="center_claims-params1-214"),
+        pytest.param(center_claims, (3, 2, 1), 48, id="center_claims-params0-48"),
+        pytest.param(center_claims, (5, 2, 1), 120, id="center_claims-params1-120"),
     ],
 )
 def test_metacyclic_suites_fill_conjugation_tables(monkeypatch, suite, params, products):
-    # Per generator: 4 products for the images of a and b, p^m - 1 and
-    # p^n - 1 for their powers, and one per element conjugated.  The
-    # theorems suite conjugates all of G by both generators; the center
-    # suite conjugates by b only the |G|/p elements that a fixes.
+    # Per generator, both suites take 4 products for the images A and B
+    # of a and b.  The theorems suite adds p^m - 1 and p^n - 1 for their
+    # powers and conjugates all of G, one product per element.  The
+    # center suite adds 2 per step of each side of a^-i A^i = b^j B^-j,
+    # p^m - 1 and p^n - 1 steps, and forms no product per element.
     p, m, n = params
-    order = p ** (m + n)
-    per_element = 2 * order if suite is class_size_claims else order + order // p
-    assert products == per_element + 2 * (p ** m + p ** n) + 4
+    if suite is class_size_claims:
+        assert products == 2 * p ** (m + n) + 2 * (p ** m + p ** n) + 4
+    else:
+        assert products == 4 * (p ** m + p ** n)
     calls = []
     real = MetaElement.__mul__
 
@@ -89,8 +91,9 @@ def test_metacyclic_suites_fill_conjugation_tables(monkeypatch, suite, params, p
 
 def test_metacyclic_suites_fail_when_products_break_conjugation(monkeypatch):
     # x^-1 * g returns g for a generator's inverse: the images of a and
-    # b under "conjugation" by x become a * x and b * x.  Classes, the
-    # central flags and the centre all come from those tables.
+    # b under "conjugation" by x become a * x and b * x.  Classes and the
+    # central flags come from those tables, and the centre from the sides
+    # of the fixed-point equation, whose step a^-1 * L is broken too.
     group = metacyclic_group(3, 2, 1)
     inverses = [x.inverse() for x in group.generator_elements()]
     real = MetaElement.__mul__
@@ -102,7 +105,7 @@ def test_metacyclic_suites_fail_when_products_break_conjugation(monkeypatch):
     results = class_size_claims(grid=[(3, 2, 1)]) + center_claims(grid=[(3, 2, 1)])
     assert [(r.claim_id, r.measured_value, r.passed) for r in results] == [
         ("conjugacy.class-sizes", "central:[1, 10];noncentral:[1, 2, 3, 5, 10]", False),
-        ("center.order", "2", False),
+        ("center.order", "1", False),
         ("center.subgroup", "Z(G) != <a^p,b^p>", False),
     ]
 
@@ -115,10 +118,16 @@ def test_conjugation_tables_match_literal_conjugates(params):
     assert len(tables) == len(pairs)
     # Positions are read through `group.index`, the owner of the encoding
     # that verify's hot loops write inline as i * p^n + j.
+    # The center suite's two sides of x^-1 * h * x = h, at h = a^i b^j,
+    # are equal exactly when x fixes h.
     for table, (x, x_inv) in zip(tables, pairs):
         assert len(table) == group.order
+        lefts, rights = verify._commutation_sides(group, x, x_inv)
+        assert (len(lefts), len(rights)) == (group.pm, group.pn)
         for h in group.elements():
             assert table[group.index(h)] == group.index(x_inv * h * x)
+            i, j = divmod(group.index(h), group.pn)
+            assert (lefts[i] == rights[j]) == (x_inv * h * x == h)
 
 
 def test_class_size_values_match_per_element_loop():
