@@ -50,11 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ver = sub.add_parser("verify", help="run structural claim suites")
-    ver.add_argument(
-        "--suite",
-        default="all",
-        help="theorems|center|orbit|sylow|growth|all",
-    )
+    ver.add_argument("--suite", default="all", help="|".join((*verify.SUITES, "all")))
     ver.add_argument("--long", action="store_true", help="include the k=4 sylow and growth claims")
 
     attack = sub.add_parser("attack", help="recover a demo transcript's key from public values")

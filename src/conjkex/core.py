@@ -79,7 +79,8 @@ _TOO_LARGE = "p^m and p^n must be below 10^4300, so that every exponent prints"
 
 
 def conjugation_pairs(conjugators) -> list:
-    """(x, x^-1) for each conjugator x, as `conjugation_orbit` uses them."""
+    """(x, x^-1) for each conjugator x, as `conjugation_orbit` and the tree
+    subgroup engine's normalisers use them."""
     return [(x, x.inverse()) for x in conjugators]
 
 

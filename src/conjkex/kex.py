@@ -118,7 +118,7 @@ class Transcript:
         self.messages = [] if messages is None else messages
 
     def add(self, **fields) -> None:
-        self.messages.append(dict(fields))
+        self.messages.append(fields)
 
     def to_text(self) -> str:
         return "".join(_dump(m) + "\n" for m in self.messages)

@@ -45,7 +45,7 @@ from itertools import chain, combinations, compress, repeat
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import ENUMERATION_CAP, Element, Group, mutable_twin
+from .core import ENUMERATION_CAP, Element, Group, conjugation_pairs, mutable_twin
 from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
@@ -247,7 +247,7 @@ class TreeSylowGroup(Group):
     def derived_subgroup(self, generators: Iterable["Portrait"]) -> "Subgroup":
         """Commutator subgroup of G = <generators>: the normal closure in
         G of the commutators of generator pairs."""
-        pairs = [(g, g.inverse()) for g in self._engine_input(generators)]
+        pairs = conjugation_pairs(self._engine_input(generators))
         return Subgroup(self, [_commutator(x, y) for x, y in combinations(pairs, 2)], pairs)
 
     def minimal_generating_size(self, H: "Subgroup") -> int:

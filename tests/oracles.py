@@ -4,11 +4,14 @@ They use nothing but the element contract (products, inverses,
 conjugation and the group's commuting subgroup), so they stay
 independent of each platform's closed forms.  `frattini_by_basis` is
 the tree subgroup engine's Phi(H) with H's whole basis as normalisers.
+`forced_session` is the one test helper here that is not a route: a
+session with a chosen private.
 """
 
 from itertools import combinations
 
 from conjkex.errors import ConjKexError
+from conjkex.kex import Session
 from conjkex.treegroup import Subgroup, commutator
 
 
@@ -20,6 +23,17 @@ def conjugate_via_products(w, x):
     """Literal x^-1 * w * x."""
     w._check(x)
     return x.inverse() * w * x
+
+
+def compose_perms(p, q):
+    """Permutation of "p then q" under the package convention."""
+    return tuple(q[p[x]] for x in range(len(p)))
+
+
+def forced_session(base, private):
+    session = Session(base, seed=0)
+    session.private = private
+    return session
 
 
 def power(g, e: int):

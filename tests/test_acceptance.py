@@ -22,9 +22,9 @@ from conjkex.verify import (
     measured_class,
 )
 
+from oracles import compose_perms
 from test_heisenberg import rewrite_multiply as heisenberg_oracle
 from test_metacyclic import rewrite_multiply as metacyclic_oracle
-from test_treegroup import compose_perms
 
 
 def report(number: int, description: str, passed: bool) -> None:

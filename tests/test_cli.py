@@ -11,6 +11,7 @@ import pytest
 from conjkex.cli import main
 from conjkex.kex import Transcript, parse_element
 from conjkex.treegroup import tree_group
+from conjkex.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +175,13 @@ def test_verify_theorems_suite(capsys):
         assert record["pass"] is True
         assert record["claim_id"] == "conjugacy.class-sizes"
     assert "claims passed" in err
+
+
+def test_verify_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "|".join((*SUITES, "all")) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", ["theorems", "center", "all"])

@@ -11,16 +11,10 @@ import pytest
 from conjkex.cryptanalysis import bsgs_break, decimal_text, orbit_stats
 from conjkex.errors import NoSolutionError, PlatformMismatchError, TooLargeError
 from conjkex.heisenberg import heisenberg_group
-from conjkex.kex import Session, run_demo
+from conjkex.kex import run_demo
 from conjkex.metacyclic import metacyclic_group
 from conjkex.treegroup import tree_group
-from oracles import NotInOrbitError, brute_conjugacy
-
-
-def forced_session(base, private):
-    session = Session(base, seed=0)
-    session.private = private
-    return session
+from oracles import NotInOrbitError, brute_conjugacy, forced_session
 
 
 # ---------------------------------------------------------------- examples

@@ -27,14 +27,9 @@ from conjkex.metacyclic import parse_canonical as parse_metacyclic
 from conjkex.rng import SplitMix64
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
 from conjkex.treegroup import parse_canonical as parse_tree
-from oracles import conjugate_via_products, power
+from oracles import compose_perms, conjugate_via_products, power
 
 EXPONENTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
-
-
-def compose_perms(p, q):
-    """Oracle: permutation of "p then q" under the package convention."""
-    return tuple(q[p[x]] for x in range(len(p)))
 
 
 def assert_immutable(g, *names):

@@ -24,15 +24,9 @@ from conjkex.kex import (
 from conjkex.metacyclic import MetaElement, metacyclic_group
 from conjkex.rng import SplitMix64
 from conjkex.treegroup import Portrait, tree_group
-from oracles import conjugate_via_products
+from oracles import conjugate_via_products, forced_session
 
 MC = metacyclic_group(3, 2, 2)
-
-
-def forced_session(base, private):
-    session = Session(base, seed=0)
-    session.private = private
-    return session
 
 
 # ---------------------------------------------------------------- examples

@@ -28,12 +28,7 @@ from conjkex.treegroup import (
     parse_canonical,
     tree_group,
 )
-from oracles import frattini_by_basis
-
-
-def compose_perms(p, q):
-    """Oracle: permutation of "p then q" under the package convention."""
-    return tuple(q[p[x]] for x in range(len(p)))
+from oracles import compose_perms, frattini_by_basis
 
 
 def perm_parity_even(perm):
