@@ -41,8 +41,10 @@ The two p-group platforms share more.  `PGroup` holds their parameters
 form, enumeration, centre and key-exchange roles.  `PElement` derives
 from each element class's `__slots__` its text form `canonical()` and
 its value fields, so a p-group element class writes only its slots,
-its algebra and its private `_make`.  `canonical_parser` builds their
-strict parsers.
+its algebra and its private `_make`.  `canonical_parser` builds the
+strict parser of all three platforms from the fields and radix that
+each element class states (`exponent_names`, `radix`) and the group's
+`prefix`, `param_names`, `_make` and `moduli`.
 
 Conjugation convention: `w.conjugate_by(x)` is x^-1 * w * x on the
 heisenberg and tree platforms, and x * w * x^-1 on the metacyclic one,
@@ -342,6 +344,7 @@ class PElement(Element):
     """
 
     __slots__ = ()
+    radix = 10  # of the exponents in `canonical()`
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -366,13 +369,19 @@ class PElement(Element):
 
 def canonical_parser(group_class, factory):
     """The strict parser of `group_class`'s canonical strings, such as
-    "mc:p=3;m=2;n=2;i=1;j=0": the whole string, minimal decimal fields,
-    exponents below their moduli.  Groups come from the interned
-    `factory`, so parsed elements share its group objects."""
-    fields = (*group_class.param_names, *group_class.element_class.exponent_names)
-    grammar = re.compile(
-        group_class.prefix + ":" + ";".join(rf"{name}=(0|[1-9][0-9]*)" for name in fields)
-    )
+    "mc:p=3;m=2;n=2;i=1;j=0" or "tg:k=3;bits=40": the whole string,
+    minimal fields, parameters in decimal and element fields in the
+    element class's `radix` (lowercase, at most 16), each below its
+    modulus.  Groups come from the interned `factory`, so parsed
+    elements share its group objects."""
+    element_class = group_class.element_class
+    count = len(group_class.param_names)
+    names = (*group_class.param_names, *element_class.exponent_names)
+    bases = (10,) * count + (element_class.radix,) * (len(names) - count)
+    digits = "0123456789abcdef"
+    grammar = re.compile(group_class.prefix + ":" + ";".join(
+        f"{name}=(0|[{digits[1:base]}][{digits[:base]}]*)" for name, base in zip(names, bases)
+    ))
     refusal = f"not a canonical {group_class.kind} element"
 
     def parse_canonical(text: str):
@@ -380,13 +389,14 @@ def canonical_parser(group_class, factory):
         if not match:
             raise ParseError(f"{refusal}: {text!r}")
         try:
-            p, m, n, *exponents = map(int, match.groups())
+            values = list(map(int, match.groups(), bases))
         except ValueError:  # past Python's str-to-int limit
             raise ParseError(f"{refusal}: a field is too long to read") from None
         try:
-            group = factory(p, m, n)
+            group = factory(*values[:count])
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+        exponents = values[count:]
         for exponent, modulus in zip(exponents, group.moduli):
             if exponent >= modulus:
                 raise ParseError("exponents exceed their moduli; form is not canonical")

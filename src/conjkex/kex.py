@@ -131,7 +131,7 @@ class Transcript:
                 continue
             try:
                 message = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
                 raise TranscriptError(f"bad transcript line: {exc}") from None
             if not isinstance(message, dict) or not all(
                 isinstance(value, str) for value in message.values()

@@ -39,24 +39,20 @@ tuple.
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from itertools import chain, combinations, compress, repeat
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import ENUMERATION_CAP, Element, Group, conjugation_pairs, mutable_twin
+from .core import ENUMERATION_CAP, Element, Group, canonical_parser, conjugation_pairs, mutable_twin
 from .errors import (
     DepthMismatchError,
     DepthTooLargeError,
     LevelOutOfRangeError,
     NoSolutionError,
     NotAGroupError,
-    ParseError,
     TooLargeError,
 )
-
-_CANONICAL_RE = re.compile(r"tg:k=(0|[1-9][0-9]*);bits=(0|[1-9a-f][0-9a-f]*)")
 
 MAX_DEPTH = 20        # products, inverses, codec: O(k^2) big-int ops each
 MAX_SUBGROUP_DEPTH = 8  # Subgroup only: G' and Phi(G') take about 0.3 s at k = 8 in-process
@@ -70,6 +66,7 @@ class TreeSylowGroup(Group):
     """
 
     kind = "tree"
+    prefix = "tg"
     param_names = ("k",)
     p = 2
     first_private = 0
@@ -81,6 +78,7 @@ class TreeSylowGroup(Group):
         self.leaves = 1 << k
         self.bit_count = self.log_order = (1 << k) - 1
         self.order = 1 << self.bit_count
+        self.moduli = (self.order,)  # the bound of the packed labels
         # _spread[e] has the bits p < 2^k with bit e of p clear: what a
         # Morton step that shifts by 2^e keeps.
         self._spread = tuple(
@@ -372,6 +370,8 @@ class Portrait(Element):
 
     __slots__ = ("group", "packed", "_masks")
     _value = attrgetter("packed")  # never the _masks cache
+    exponent_names = ("bits",)  # `packed` in `canonical()`, in hex
+    radix = 16
 
     def bit(self, level: int, pos: int) -> int:
         """The label of vertex pos on the level."""
@@ -576,17 +576,7 @@ def _commutator(x: tuple[Portrait, Portrait], y: tuple[Portrait, Portrait]) -> P
     return x[1] * (y[1] * (x[0] * y[0]))
 
 
-def parse_canonical(text: str) -> Portrait:
-    """Strict parser for the tg: canonical form (minimal lowercase hex)."""
-    match = _CANONICAL_RE.fullmatch(text)
-    if not match:
-        raise ParseError(f"not a canonical tree element: {text!r}")
-    k = int(match.group(1))
-    packed = int(match.group(2), 16)
-    try:
-        group = tree_group(k)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    if packed >> group.bit_count:
-        raise ParseError("bit string longer than the tree has vertices")
-    return _make(group, packed)
+# `canonical_parser` reads these of the group; both come after its class.
+TreeSylowGroup.element_class = Portrait
+TreeSylowGroup._make = staticmethod(_make)
+parse_canonical = canonical_parser(TreeSylowGroup, tree_group)

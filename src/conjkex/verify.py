@@ -344,7 +344,16 @@ def commuting_growth_claims(k: int) -> list[ClaimResult]:
     return results
 
 
-SUITES = ("theorems", "center", "orbit", "sylow", "growth")
+# Each suite by name, as a function of `long`.
+SUITES = {
+    "theorems": lambda long: class_size_claims(default_param_grid()),
+    "center": lambda long: center_claims(default_param_grid()),
+    "orbit": lambda long: heisenberg_orbit_claims(),
+    "sylow": lambda long: sylow_claims(ks=(2, 3, 4), long=long),
+    "growth": lambda long: [
+        claim for k in ((2, 3, 4) if long else (2, 3)) for claim in commuting_growth_claims(k)
+    ],
+}
 
 
 def run_suites(names: Iterable[str], long: bool = False) -> list[ClaimResult]:
@@ -356,19 +365,9 @@ def run_suites(names: Iterable[str], long: bool = False) -> list[ClaimResult]:
     """
     results: list[ClaimResult] = []
     for name in names:
-        if name in ("theorems", "center"):
-            suite = class_size_claims if name == "theorems" else center_claims
-            results.extend(suite(default_param_grid()))
-        elif name == "orbit":
-            results.extend(heisenberg_orbit_claims())
-        elif name == "sylow":
-            results.extend(sylow_claims(ks=(2, 3, 4), long=long))
-        elif name == "growth":
-            ks = (2, 3, 4) if long else (2, 3)
-            for k in ks:
-                results.extend(commuting_growth_claims(k))
-        else:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        results.extend(SUITES[name](long))
     results.sort(key=lambda r: (r.claim_id, r.params))
     return results
 

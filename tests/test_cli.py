@@ -390,7 +390,11 @@ def test_attack_rejects_garbage_file(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["[1]", '"text"', "5", "null", '{"type":"params","platform":"metacyclic","w":5}'],
+    ["[1]", '"text"', "5", "null", '{"type":"params","platform":"metacyclic","w":5}',
+     # Lines json cannot decode: too deep to recurse into, and a number
+     # past Python's 4300-digit limit.
+     pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
+     pytest.param("1" * 5000, id="number-of-5000-digits")],
 )
 def test_attack_rejects_non_object_lines(capsys, tmp_path, line):
     path = tmp_path / "odd.ndjson"
@@ -536,11 +540,12 @@ def test_huge_pgroup_is_refused_before_its_powers_are_built(capsys, argv):
     f"mm:p=3;m=2;n=2;i={LONG_FIELD};j=0;k=0",
     f"mc:p={LONG_FIELD};m=2;n=2;i=0;j=0",
     f"mm:p=3;m={LONG_FIELD};n=1;i=0;j=0;k=0",
-], ids=["mc-i", "mm-i", "mc-p", "mm-m"])
+    f"tg:k={LONG_FIELD};bits=0",
+], ids=["mc-i", "mm-i", "mc-p", "mm-m", "tg-k"])
 def test_element_field_too_long_to_read_is_a_usage_error(capsys, text):
     code, out, err = run_cli(capsys, "element", "--inv", text)
     assert (code, out) == (2, "")
-    kind = "metacyclic" if text.startswith("mc:") else "heisenberg"
+    kind = {"mc": "metacyclic", "mm": "heisenberg", "tg": "tree"}[text[:2]]
     assert err == f"error: not a canonical {kind} element: a field is too long to read\n"
 
 

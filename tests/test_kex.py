@@ -225,6 +225,16 @@ def test_transcript_refuses_a_repeated_message(marker, lookup):
         lookup(Transcript.from_text(text + line + "\n"))
 
 
+@pytest.mark.parametrize(
+    "line", ["[" * 100000 + "]" * 100000, "1" * 5000], ids=["nested-100000-deep", "5000-digits"]
+)
+def test_from_text_refuses_lines_json_cannot_decode(line):
+    # json raises RecursionError on the first and a plain ValueError on
+    # the second, past Python's str-to-int limit.
+    with pytest.raises(TranscriptError, match="^bad transcript line: "):
+        Transcript.from_text(line + "\n")
+
+
 ROUNDTRIP_PRIMES = {"1009": 1009, "2^127-1": 2 ** 127 - 1}
 ROUNDTRIP_GROUPS = {
     **{f"metacyclic-{name}": metacyclic_group(p, 2, 2) for name, p in ROUNDTRIP_PRIMES.items()},

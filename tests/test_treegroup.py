@@ -1046,6 +1046,9 @@ def test_canonical_roundtrip():
         "tg:k=0;bits=0",      # depth out of range
         "tg:bits=0;k=3",      # wrong field order
         "tg:k=3;bits=0x40",   # 0x prefix
+        pytest.param(         # depth past Python's str-to-int limit
+            "tg:k=" + "1" * 4301 + ";bits=0", id="tg:k=<4301 digits>;bits=0"
+        ),
     ],
 )
 def test_parse_rejects(bad):
