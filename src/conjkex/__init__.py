@@ -13,7 +13,7 @@ from .cryptanalysis import AttackReport, bsgs_break, orbit_stats
 from .heisenberg import HeisenbergElement, HeisenbergGroup, heisenberg_group
 from .kex import DemoResult, Session, Transcript, parse_element, run_demo, validate_base
 from .metacyclic import MetacyclicGroup, MetaElement, metacyclic_group
-from .treegroup import Portrait, TreeSylowGroup, commutator, tree_group
+from .treegroup import Portrait, TreeSylowGroup, tree_group
 from .verify import ClaimResult, run_suites
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "Transcript",
     "TreeSylowGroup",
     "bsgs_break",
-    "commutator",
     "heisenberg_group",
     "is_probable_prime",
     "metacyclic_group",

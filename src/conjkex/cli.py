@@ -165,28 +165,20 @@ def _cmd_element(args) -> int:
     return EXIT_OK
 
 
-def _decimal(power_of_two: int) -> str:
-    """Decimal digits of a power of two.  `str` refuses ints of more
-    than 4300 digits (Python's int-to-str limit), which the tree orders
-    pass from k = 14.  decimal's exact power has no such limit, and at
-    k = 20 it takes 14 ms where converting the int takes a second."""
-    exact = cryptanalysis.exact_decimal()
-    return str(exact.power(2, power_of_two.bit_length() - 1))
-
-
 def _cmd_tree(args) -> int:
     group = tree_group(args.k)
+    text = cryptanalysis.decimal_text  # tree orders pass str's digit limit from k = 14
     facts = {
         "k": str(args.k),
-        "s_order": _decimal(group.order),
-        "a_order": _decimal(group.order >> 1),
+        "s_order": text(group.order),
+        "a_order": text(group.order >> 1),
         "level_subgroup_orders": [
-            _decimal(group.level_subgroup_order(level)) for level in range(args.k)
+            text(group.level_subgroup_order(level)) for level in range(args.k)
         ],
     }
     if args.k <= 3 or args.long:
         derived = group.derived_subgroup(group.even_generators())
-        facts["derived_order"] = _decimal(derived.order)
+        facts["derived_order"] = text(derived.order)
         facts["derived_min_generators"] = str(group.minimal_generating_size(derived))
     print(json.dumps(facts, separators=(",", ":")))
     return EXIT_OK

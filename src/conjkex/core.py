@@ -11,8 +11,9 @@ normal form, so element equality compares fields.  Every group answers:
   `elements()` (an enumeration, refused past a size limit), `index(g)`
   (g's position in that enumeration) and `conjugacy_class(w)`;
 - the key exchange's policies: the commuting subgroup the privates come
-  from (`commuting_subgroup_order()`, and `commuting_conjugator(s)` for
-  s from `first_private` on), `default_base()` and `usable_base(w)`;
+  from (`commuting_conjugator(s)` for s from `first_private` below
+  `commuting_subgroup_order()`, the number of privates with distinct
+  actions), `default_base()` and `usable_base(w)`;
 - `private_log(w, w_x)`: an index s whose private moves w to w_x, which
   is all the attack needs to know of a platform.
 
@@ -216,8 +217,10 @@ class PGroup(Group):
     multiplication law differs.  A Miller-Moreno group is 2-generated
     (Miller and Moreno, Trans. AMS 4, 1903), and a and b do not commute,
     so `generator_elements()`, a and b, is a minimal generating set.
-    <b> is the key exchange's commuting subgroup, drawn from b^1 on (b^0
-    would fix every base), and a is the default base.  An element is
+    <b> is the key exchange's commuting subgroup and a is the default
+    base.  b^p is central, so conjugation by b^s depends only on s mod
+    p, and the privates are b^1 .. b^(p-1): the p - 1 that move every
+    base (b^0 and every power of b^p fix it).  An element is
     central exactly when p divides both i and j.  A group whose p^m or
     p^n reaches 10^4300 is refused with TooLargeError, so every exponent
     prints.
@@ -301,7 +304,9 @@ class PGroup(Group):
 
     # Designated commuting subgroup for the key exchange: the cyclic <b>.
     def commuting_subgroup_order(self) -> int:
-        return self.pn
+        """The privates with distinct actions, |<b>/<b^p>| = p, and so
+        the draw's bound: b^s and b^(s+p) conjugate alike."""
+        return self.p
 
     def commuting_conjugator(self, s: int):
         return self.b(s)

@@ -15,41 +15,36 @@ from __future__ import annotations
 
 import json
 import time
-from functools import lru_cache
 
 from .core import _TEXT_BOUND
 from .errors import PlatformMismatchError
 
 
-@lru_cache(maxsize=None)
-def exact_decimal():
-    """The one exact `decimal.Context` (every digit kept, no exponent
-    limit in reach).  decimal is imported on first use: only a tree's
-    large numbers need it, and it adds about 2 ms and 0.3 MB to the
-    start of every subcommand."""
-    import decimal
-
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-
-
 def decimal_text(x: int) -> str:
     """The decimal digits of a non-negative int of any size, the same
-    string as `str(Decimal(x))`.
+    string as `str(Decimal(x))`: an attack's `exponent` and `conjkex
+    tree`'s orders print through it.
 
     `str` refuses ints of more than 4300 digits (Python's int-to-str
-    limit), which a tree mask passes from k = 16; `Decimal(x)` converts
-    in quadratic time.  So a large x is split at a power of two,
-    x = hi * 2^h + lo, each half converted the same way down to that
-    limit, and the two recombined with decimal's exact (subquadratic)
-    multiply and add."""
+    limit), which a tree mask passes from k = 16 and a tree order from
+    k = 14; `Decimal(x)` converts in quadratic time.  So a large x is
+    converted in an exact `decimal.Context`, imported only here (it adds
+    about 2 ms and 0.3 MB to a process): a power of two as one exact
+    power, any other x split at a power of two, x = hi * 2^h + lo, each
+    half converted the same way down to that limit and the two
+    recombined with decimal's exact (subquadratic) multiply and add."""
     if x < _TEXT_BOUND:
         return str(x)
-    ctx = exact_decimal()
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     powers = {}
 
     def convert(y):
         if y < _TEXT_BOUND:
             return ctx.create_decimal(y)
+        if not y & (y - 1):
+            return ctx.power(2, y.bit_length() - 1)
         h = 1 << ((y.bit_length() - 1).bit_length() - 1)
         if h not in powers:
             powers[h] = ctx.power(2, h)

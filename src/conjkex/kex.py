@@ -14,9 +14,10 @@ This module states no platform policy; each group class states its own
 (the contract in `core`):
 
 - the commuting subgroup and its first private index: `PGroup` draws
-  b^s for s >= 1 from the cyclic <b>, `TreeSylowGroup` the whole level
-  k-2, identity included (`commuting_subgroup_order`,
-  `commuting_conjugator`, `first_private`);
+  b^s for s in [1, p) from the cyclic <b>, the p - 1 privates that act,
+  since conjugation by b^s depends only on s mod p; `TreeSylowGroup`
+  draws the whole level k-2, identity included
+  (`commuting_subgroup_order`, `commuting_conjugator`, `first_private`);
 - the base rule, `usable_base`: a non-central power of a on the
   p-groups, and a portrait that some private moves on the tree.  A base
   that every private fixes would make every key equal to it.
@@ -102,6 +103,15 @@ class Session:
         return peer_value.conjugate_by(self.private).canonical().encode("ascii")
 
 
+def _refuse_int(text: str):
+    """json's hook for every integer of a transcript line: it refuses the
+    number before an int is built, so none meets Python's digit limit."""
+    raise ValueError("a number, where every value must be a string")
+
+
+_DECODER = json.JSONDecoder(parse_int=_refuse_int)  # the one transcript decoder
+
+
 def _dump(message: dict) -> str:
     """One transcript line.  On an object of strings, compact `json.dumps`
     quotes every key and value with json's ASCII string quoter, so this
@@ -130,7 +140,7 @@ class Transcript:
             if not line.strip():
                 continue
             try:
-                message = json.loads(line)
+                message = _DECODER.decode(line)
             except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
                 raise TranscriptError(f"bad transcript line: {exc}") from None
             if not isinstance(message, dict) or not all(

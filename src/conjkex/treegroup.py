@@ -27,9 +27,9 @@ is a bit permutation, so it distributes over XOR, and
 
     x^-1 * w * x = Q_x(x XOR w XOR P_w(x)).
 
-`commutator` and the subgroup engine (`Subgroup`) keep to products, and
-`Portrait.apply`, which walks one leaf path bit by bit, is the
-independent oracle for all three.
+The subgroup engine (`Subgroup`) keeps to products.  `Portrait.apply`,
+which walks one leaf path bit by bit, is the independent oracle for
+products, inverses and conjugation.
 
 A portrait builds its masks on first use and keeps them: at most k-1
 ints below 2^k, so a dense portrait keeps about k-1 times its own size,
@@ -489,11 +489,6 @@ def _swap_halves(x: int, masks: Sequence[int], order: Iterable[int]) -> int:
     return x
 
 
-def commutator(x: Portrait, y: Portrait) -> Portrait:
-    """[x, y] = x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y
-
-
 class Subgroup:
     """A subgroup H as an echelon basis: one element per leading bit (the
     highest set bit of `packed`), each stored with its inverse.
@@ -570,9 +565,9 @@ class Subgroup:
 
 
 def _commutator(x: tuple[Portrait, Portrait], y: tuple[Portrait, Portrait]) -> Portrait:
-    """[x, y] from (element, inverse) pairs, in three products: x^-1 (y^-1
-    (x y)), the public `commutator`'s value with a stored factor on the
-    left of each product, so no intermediate builds masks."""
+    """[x, y] = x^-1 y^-1 x y from (element, inverse) pairs, in three
+    products: x^-1 (y^-1 (x y)), with a stored factor on the left of
+    each product, so no intermediate builds masks."""
     return x[1] * (y[1] * (x[0] * y[0]))
 
 

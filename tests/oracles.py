@@ -12,7 +12,7 @@ from itertools import combinations
 
 from conjkex.errors import ConjKexError
 from conjkex.kex import Session
-from conjkex.treegroup import Subgroup, commutator
+from conjkex.treegroup import Subgroup
 
 
 class NotInOrbitError(ConjKexError):
@@ -23,6 +23,11 @@ def conjugate_via_products(w, x):
     """Literal x^-1 * w * x."""
     w._check(x)
     return x.inverse() * w * x
+
+
+def commutator(x, y):
+    """Literal [x, y] = x^-1 y^-1 x y."""
+    return x.inverse() * y.inverse() * x * y
 
 
 def compose_perms(p, q):

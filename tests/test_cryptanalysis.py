@@ -223,8 +223,9 @@ def test_attack_report_serialization():
     assert int(data["group_ops"]) == report.group_ops
 
 
-# 0 and 1 bit, both sides of the 4300-digit int-to-str limit, and masks
-# of 2^16 and 2^18 bits, which are converted by halves.
+# 0 and 1 bit, both sides of the 4300-digit int-to-str limit, masks of
+# 2^16 and 2^18 bits, which are converted by halves, and powers of two
+# past the limit (2^14285 is the first), each converted as one power.
 @pytest.mark.parametrize("x", [
     0,
     1,
@@ -232,7 +233,11 @@ def test_attack_report_serialization():
     10 ** 4300,
     random.Random(16).getrandbits(1 << 16) | 1 << ((1 << 16) - 1),
     random.Random(18).getrandbits(1 << 18) | 1 << ((1 << 18) - 1),
-], ids=["0", "1-bit", "4300-digits", "4301-digits", "2^16-bits", "2^18-bits"])
+    2 ** 14285,
+    2 ** 65536,
+], ids=[
+    "0", "1-bit", "4300-digits", "4301-digits", "2^16-bits", "2^18-bits", "2^14285", "2^65536",
+])
 def test_decimal_text_equals_str_of_decimal(x):
     assert decimal_text(x) == str(Decimal(x))
 

@@ -155,6 +155,22 @@ def test_private_ranges():
                 assert not any(x.bit(other_level, p) for p in range(1 << other_level))
 
 
+@pytest.mark.parametrize(
+    "factory", [metacyclic_group, heisenberg_group], ids=["metacyclic", "heisenberg"]
+)
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_drawn_p_group_private_moves_the_default_base(factory, p):
+    # Conjugation by b^s depends only on s mod p, so a draw of s in
+    # [1, p^n) with p | s would fix the base and publish it.  The draws
+    # cover exactly b^1 .. b^(p-1).
+    G = factory(p, 2, 2)
+    w = G.default_base()
+    rng = SplitMix64(8)
+    drawn = {sample_private(G, rng) for _ in range(300)}
+    assert drawn == {G.b(s) for s in range(1, p)}
+    assert all(w.conjugate_by(x) != w for x in drawn)
+
+
 def test_transcripts_replay_byte_exactly():
     base = metacyclic_group(1009, 2, 2).a(1)
     first = run_demo(base, 7, 8, debug_key=True)
@@ -229,8 +245,8 @@ def test_transcript_refuses_a_repeated_message(marker, lookup):
     "line", ["[" * 100000 + "]" * 100000, "1" * 5000], ids=["nested-100000-deep", "5000-digits"]
 )
 def test_from_text_refuses_lines_json_cannot_decode(line):
-    # json raises RecursionError on the first and a plain ValueError on
-    # the second, past Python's str-to-int limit.
+    # json raises RecursionError on the first; the decoder refuses the
+    # second as a number before Python's str-to-int limit is reached.
     with pytest.raises(TranscriptError, match="^bad transcript line: "):
         Transcript.from_text(line + "\n")
 

@@ -24,11 +24,10 @@ from conjkex.treegroup import (
     Portrait,
     TreeSylowGroup,
     _reverse,
-    commutator,
     parse_canonical,
     tree_group,
 )
-from oracles import compose_perms, frattini_by_basis
+from oracles import commutator, compose_perms, frattini_by_basis
 
 
 def perm_parity_even(perm):
