@@ -99,7 +99,7 @@ class Session:
 
     def derive(self, peer_value) -> bytes:
         if peer_value.group != self.base.group:
-            raise PlatformMismatchError("peer value comes from a different platform")
+            raise PlatformMismatchError("peer value comes from another group than the base")
         return peer_value.conjugate_by(self.private).canonical().encode("ascii")
 
 
@@ -136,7 +136,10 @@ class Transcript:
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
         messages = []
-        for line in text.splitlines():
+        # Lines end at "\n" alone: str.splitlines() would also break at
+        # U+2028, U+0085 and the like, which a JSON string may hold raw.
+        # A "\r\n" ending leaves "\r", which the decoder skips as whitespace.
+        for line in text.split("\n"):
             if not line.strip():
                 continue
             try:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import time
 from array import array
+from functools import wraps
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import conjugation_orbit, conjugation_pairs
 from .heisenberg import heisenberg_group
@@ -126,20 +127,37 @@ def _powers(g, count: int) -> list:
     return out
 
 
-def _claim(claim_id, params, paper_value, measured_value, started) -> ClaimResult:
-    return ClaimResult(
-        claim_id=claim_id,
-        params=params,
-        paper_value=str(paper_value),
-        measured_value=str(measured_value),
-        passed=str(paper_value) == str(measured_value),
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+# One claim as a suite yields it: (claim_id, params, paper value, measured value).
+Claim = tuple[str, str, object, object]
+
+
+def _recorded(suite):
+    """Decorator: call `suite`, a generator of `Claim`s, and return its
+    claims as a list of ClaimResults.  A claim passes when its two values
+    print alike, and its time runs from the previous claim, or from the
+    call for the first one."""
+
+    @wraps(suite)
+    def record(*args, **kwargs) -> list[ClaimResult]:
+        results = []
+        started = time.perf_counter()
+        for claim_id, params, paper_value, measured_value in suite(*args, **kwargs):
+            now = time.perf_counter()
+            paper_value, measured_value = str(paper_value), str(measured_value)
+            results.append(ClaimResult(
+                claim_id, params, paper_value, measured_value,
+                paper_value == measured_value, (now - started) * 1000.0,
+            ))
+            started = now
+        return results
+
+    return record
 
 
 # ---------------------------------------------------------------- theorems
 
-def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
+@_recorded
+def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> Iterator[Claim]:
     """Every non-central class has size exactly p; central classes are
     singletons.  Exhaustive over each group in the grid.
 
@@ -152,9 +170,7 @@ def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]
     group: 2|G| + 2(p^m + p^n) + 4 products, two inverses, and no
     element sets.
     """
-    results = []
     for p, m, n in grid:
-        started = time.perf_counter()
         group = metacyclic_group(p, m, n)
         by_a, by_b = _conjugation_tables(group)
         sizes = {True: set(), False: set()}  # central -> observed sizes
@@ -181,13 +197,11 @@ def class_size_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]
             f"central:{sorted(sizes[True])};noncentral:{sorted(sizes[False])}"
         )
         expected = f"central:[1];noncentral:[{p}]"
-        results.append(
-            _claim("conjugacy.class-sizes", f"p={p},m={m},n={n}", expected, measured, started)
-        )
-    return results
+        yield "conjugacy.class-sizes", f"p={p},m={m},n={n}", expected, measured
 
 
-def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
+@_recorded
+def center_claims(grid: Iterable[tuple[int, int, int]]) -> Iterator[Claim]:
     """|Z(G)| = p^(m+n-2), and Z(G) is exactly <a^p, b^p>.
 
     Z(G) is the set of elements that conjugation by a and by b both fix.
@@ -198,108 +212,76 @@ def center_claims(grid: Iterable[tuple[int, int, int]]) -> list[ClaimResult]:
     products over `default_param_grid`).  The centre is then compared
     by index with `center_elements()`.
     """
-    results = []
     for p, m, n in grid:
         group = metacyclic_group(p, m, n)
-        started = time.perf_counter()
         pn = group.pn
         fixed = range(group.order)
         for x, x_inv in conjugation_pairs(group.generator_elements()):
             lefts, rights = _commutation_sides(group, x, x_inv)
             fixed = [h for h in fixed if lefts[h // pn] == rights[h % pn]]
         center = set(fixed)
-        results.append(
-            _claim(
-                "center.order",
-                f"p={p},m={m},n={n}",
-                p ** (m + n - 2),
-                len(center),
-                started,
-            )
-        )
-        started = time.perf_counter()
+        yield "center.order", f"p={p},m={m},n={n}", p ** (m + n - 2), len(center)
         generated = {g.i * group.pn + g.j for g in group.center_elements()}
-        results.append(
-            _claim(
-                "center.subgroup",
-                f"p={p},m={m},n={n}",
-                "Z(G) == <a^p,b^p>",
-                "Z(G) == <a^p,b^p>" if center == generated else "Z(G) != <a^p,b^p>",
-                started,
-            )
+        yield (
+            "center.subgroup",
+            f"p={p},m={m},n={n}",
+            "Z(G) == <a^p,b^p>",
+            "Z(G) == <a^p,b^p>" if center == generated else "Z(G) != <a^p,b^p>",
         )
-    return results
 
 
-def heisenberg_orbit_claims() -> list[ClaimResult]:
+@_recorded
+def heisenberg_orbit_claims() -> Iterator[Claim]:
     """Orbit of a under conjugation is {a, ac, ..., ac^(p-1)}: length p,
-    for each of `DEFAULT_PRIMES`."""
-    results = []
+    for each of `DEFAULT_PRIMES`.
+
+    Each of the p members is conjugated by both generators, 2 products
+    each, after 2 inverses: 4p products per prime, 60 products and six
+    inverses in all.
+    """
     for p in DEFAULT_PRIMES:
-        started = time.perf_counter()
         group = heisenberg_group(p, 1, 1)
         cls = measured_class(group.a(), conjugation_pairs(group.generator_elements()))
         expected_set = frozenset(group.element(1, 0, r) for r in range(p))
         measured = f"size:{len(cls)};sweep:{cls == expected_set}"
-        results.append(
-            _claim("heisenberg.orbit", f"p={p},m=1,n=1", f"size:{p};sweep:True", measured, started)
-        )
-    return results
+        yield "heisenberg.orbit", f"p={p},m=1,n=1", f"size:{p};sweep:True", measured
 
 
-def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> list[ClaimResult]:
+@_recorded
+def sylow_claims(ks: Iterable[int] = (2, 3), long: bool = False) -> Iterator[Claim]:
     """Orders of the Sylow subgroups, their commutator subgroup, and the
     minimal generating size of the latter, all by the subgroup engine.
 
     |Syl2(S)| is the order of the closure of `generator_elements()`,
     |Syl2(A)| that of `even_generators()`, each a minimal generating set
     of k portraits; |Syl2(A)| reads 0 unless every one of them is even.
+    As the sylow suite runs it, at ks = (2, 3, 4), it costs 1,188
+    portrait products and 55 inverses, and 1,791 and 74 with `long`.
     """
-    results = []
     for k in ks:
         group = tree_group(k)
-        started = time.perf_counter()
         s_order = group.closure(group.generator_elements()).order
-        results.append(
-            _claim("sylow.s-order", f"k={k}", 1 << ((1 << k) - 1), s_order, started)
-        )
-        started = time.perf_counter()
+        yield "sylow.s-order", f"k={k}", 1 << ((1 << k) - 1), s_order
         gens = group.even_generators()
         a_order = group.closure(gens).order if all(g.is_even() for g in gens) else 0
-        results.append(
-            _claim("sylow.a-order", f"k={k}", 1 << ((1 << k) - 2), a_order, started)
-        )
+        yield "sylow.a-order", f"k={k}", 1 << ((1 << k) - 2), a_order
         if k >= 4 and not long:
             continue
-        started = time.perf_counter()
         derived = group.derived_subgroup(gens)
-        results.append(
-            _claim(
-                "sylow.derived-order",
-                f"k={k}",
-                1 << ((1 << k) - k - 2),
-                derived.order,
-                started,
-            )
-        )
-        started = time.perf_counter()
+        yield "sylow.derived-order", f"k={k}", 1 << ((1 << k) - k - 2), derived.order
         rank = group.minimal_generating_size(derived)
         if k == 3:
             brute = group.minimal_generating_size_brute(derived.elements())
-            results.append(
-                _claim("sylow.min-gen-agreement", f"k={k}", f"rank:{rank}", f"rank:{brute}", started)
-            )
+            yield "sylow.min-gen-agreement", f"k={k}", f"rank:{rank}", f"rank:{brute}"
         else:
             # The paper's rank 2k-3 holds from k=3; at k=2 the derived
             # subgroup is trivial, so its rank is 0.
             expected = 2 * k - 3 if k >= 3 else 0
-            results.append(
-                _claim("sylow.min-gen-rank", f"k={k}", f"rank:{expected}", f"rank:{rank}", started)
-            )
-    return results
+            yield "sylow.min-gen-rank", f"k={k}", f"rank:{expected}", f"rank:{rank}"
 
 
-def commuting_growth_claims(k: int) -> list[ClaimResult]:
+@_recorded
+def commuting_growth_claims(k: int) -> Iterator[Claim]:
     """Level subgroups: elementwise commuting, size 2^(2^l), squaring at
     each deeper level.
 
@@ -312,10 +294,8 @@ def commuting_growth_claims(k: int) -> list[ClaimResult]:
     pair of members.
     """
     group = tree_group(k)
-    results = []
     previous = None
     for level in range(k):
-        started = time.perf_counter()
         members = group.level_subgroup(level)
         generators = [group.single(level, pos) for pos in range(1 << level)]
         span = [group.identity()]
@@ -326,22 +306,10 @@ def commuting_growth_claims(k: int) -> list[ClaimResult]:
         ) and set(members) == set(span)
         measured = f"size:{len(members)};commute:{all_commute}"
         expected = f"size:{1 << (1 << level)};commute:True"
-        results.append(
-            _claim("growth.level-subgroup", f"k={k},l={level}", expected, measured, started)
-        )
+        yield "growth.level-subgroup", f"k={k},l={level}", expected, measured
         if previous is not None:
-            started = time.perf_counter()
-            results.append(
-                _claim(
-                    "growth.doubling-exponent",
-                    f"k={k},l={level}",
-                    previous * previous,
-                    len(members),
-                    started,
-                )
-            )
+            yield "growth.doubling-exponent", f"k={k},l={level}", previous * previous, len(members)
         previous = len(members)
-    return results
 
 
 # Each suite by name, as a function of `long`.

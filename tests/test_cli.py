@@ -280,6 +280,21 @@ def test_attack_end_to_end(capsys, tmp_path):
     assert int(report["group_ops"]) <= 2 * (math.isqrt(1008) + 1) + 8
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+def test_attack_reads_a_string_holding_a_line_separator(capsys, tmp_path, char):
+    # Raw in a JSON string, each is valid JSON, but str.splitlines() ends
+    # a line there and would cut the header line in two.
+    path, keys = _write_demo_transcript(capsys, tmp_path)
+    text = path.read_text(encoding="utf-8")
+    header = '{"type":"header",'
+    assert text.count(header) == 1
+    text = text.replace(header, header + f'"note":"a{char}b",')
+    path.write_text(text, encoding="utf-8", newline="")
+    code, out, err = run_cli(capsys, "attack", "--transcript", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["recovered_key"] == keys["key_alice"]
+
+
 def test_attack_requires_debug_key(capsys, tmp_path):
     path, _ = _write_demo_transcript(capsys, tmp_path, debug=False)
     code, _, err = run_cli(capsys, "attack", "--transcript", str(path))

@@ -121,10 +121,12 @@ def test_platform_table_factories(group):
 
 
 def test_session_state_and_mismatch_errors():
+    # Same platform, other parameters: the peer is in another group.
     session = Session(MC.a(1), seed=1)
-    other = Session(metacyclic_group(3, 2, 1).a(1), seed=2)
-    with pytest.raises(PlatformMismatchError):
-        session.derive(other.public_value())
+    for other_group in (metacyclic_group(3, 2, 1), metacyclic_group(5, 2, 2)):
+        other = Session(other_group.a(1), seed=2)
+        with pytest.raises(PlatformMismatchError, match="^peer value comes from another group "):
+            session.derive(other.public_value())
     with pytest.raises(ValueError):
         Session(MC.identity(), seed=1)
 

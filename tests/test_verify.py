@@ -1,10 +1,12 @@
 import json
+import time
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conjkex import verify
+from conjkex.heisenberg import HeisenbergElement
 from conjkex.metacyclic import MetaElement, metacyclic_group
 from conjkex.treegroup import Portrait, TreeSylowGroup, tree_group
 from conjkex.verify import (
@@ -128,6 +130,53 @@ def test_conjugation_tables_match_literal_conjugates(params):
             assert table[group.index(h)] == group.index(x_inv * h * x)
             i, j = divmod(group.index(h), group.pn)
             assert (lefts[i] == rights[j]) == (x_inv * h * x == h)
+
+
+RECORDED_SUITES = {
+    "theorems": lambda: class_size_claims(SMALL_GRID),
+    "center": lambda: center_claims(SMALL_GRID),
+    "orbit": heisenberg_orbit_claims,
+    "sylow": lambda: sylow_claims(ks=(2, 3, 4), long=True),
+    "growth": lambda: commuting_growth_claims(3),
+}
+
+
+@pytest.mark.parametrize("suite", RECORDED_SUITES.values(), ids=RECORDED_SUITES)
+def test_each_suite_returns_a_list_of_timed_claims_within_its_call(suite):
+    # Each claim is timed from the previous one, or from the call for the
+    # first, so the claims' times add up to at most the call's.
+    started = time.perf_counter()
+    results = suite()
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    assert type(results) is list and results
+    assert all(type(r) is ClaimResult for r in results)
+    assert all(r.elapsed_ms >= 0 for r in results)
+    assert sum(r.elapsed_ms for r in results) <= wall_ms
+
+
+@pytest.mark.parametrize(
+    "suite, element, products, inverses",
+    [
+        pytest.param(heisenberg_orbit_claims, HeisenbergElement, 60, 6, id="orbit"),
+        pytest.param(lambda: SUITES["sylow"](False), Portrait, 1188, 55, id="sylow"),
+        pytest.param(lambda: SUITES["sylow"](True), Portrait, 1791, 74, id="sylow-long"),
+    ],
+)
+def test_orbit_and_sylow_suites_cost_what_their_docstrings_state(
+    monkeypatch, suite, element, products, inverses
+):
+    calls = {"__mul__": 0, "inverse": 0}
+    for name in calls:
+        real = getattr(element, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(element, name, counting)
+    results = suite()
+    assert results and all(r.passed for r in results)
+    assert calls == {"__mul__": products, "inverse": inverses}
 
 
 def test_class_size_values_match_per_element_loop():
